@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .counting import FAMILIES, binomial, gaussian, whitney_closed_form
-from .lattice import Lattice, sublattice_closure
+from .lattice import Lattice, sublattice_closure, window_ids
 
 
 def puncture_budget(d: int, distributive: bool) -> int:
@@ -50,12 +50,16 @@ def lsb_windowed(family: str, n: int, d: int, m: int, M: int, q: int | None = No
     """Tighter bound for schemes confined to heights [m, M].
 
     Sums Whitney numbers of the punctured lattice for k in [m-alpha, M-alpha],
-    clipped at 0 below; the formula value is reported verbatim.
+    clipped at 0 below; the formula value is reported verbatim.  The shifted
+    window needs puncture-project, which lowers every member by exactly one
+    height and the distance by at most 2, so alpha = floor((d-1)/2) for both
+    families.  On the power set this is the constant-weight Singleton bound
+    A(n, 2*delta, w) <= C(n-delta+1, w-delta+1).
     """
     _check_family(family, q)
     if not 0 <= m <= M <= n:
         raise ValueError("need 0 <= m <= M <= n")
-    a = puncture_budget(d, family == "powerset")
+    a = puncture_budget(d, False)
     if a > n:
         raise ValueError(f"puncture budget {a} exceeds lattice height {n}")
     np = n - a
@@ -109,11 +113,7 @@ def kks_degenerate(l: int, d: int) -> bool:
 
 def projective_singleton(n: int, d: int, q: int) -> int:
     """Sum of Gaussian binomials of the (n-alpha)-dim projective space."""
-    a = puncture_budget(d, False)
-    if a > n:
-        raise ValueError(f"puncture budget {a} exceeds lattice height {n}")
-    np = n - a
-    return sum(gaussian(np, k, q) for k in range(np + 1))
+    return lsb("projective", n, d, q)
 
 
 # --- volumes and the GV-type lower bound -------------------------------------
@@ -140,11 +140,7 @@ def gv_lower_for_lattice(lat: Lattice, d: int, window: tuple[int, int] | None = 
     """ceil(|space| / max ball volume(d-1)); any maximal packing reaches it."""
     if d < 1:
         raise ValueError("minimum distance must be >= 1")
-    if window is None:
-        ids = list(range(len(lat)))
-    else:
-        lo, hi = window
-        ids = [x for x in range(len(lat)) if lo <= lat.heights[x] <= hi]
+    ids = window_ids(lat, window)
     if not ids:
         return 0
     vol = max_ball_volume(lat, d - 1, ids)

@@ -43,11 +43,11 @@ def _emit(text: str, output: str | None):
 # --- lattice sources ---------------------------------------------------------
 
 
-def _add_value_source(p: argparse.ArgumentParser):
-    """check/export-dot style: --powerset takes N directly."""
+def _add_source(p: argparse.ArgumentParser):
     p.add_argument("--name", metavar="NAME", help="named lattice: M3, N5, L1 or L2")
-    p.add_argument("--powerset", type=int, metavar="N", help="power-set lattice on N points")
-    p.add_argument("--projective", action="store_true", help="subspace lattice of F_q^n")
+    p.add_argument("--powerset", type=int, nargs="?", const=True, metavar="N",
+                   help="power-set lattice on N points (--powerset N or --powerset -n N)")
+    p.add_argument("--projective", action="store_true", default=None, help="subspace lattice of F_q^n")
     p.add_argument("-q", type=int, default=2, help="field size (prime, default 2)")
     p.add_argument("-n", type=int, help="ambient dimension / ground-set size")
     p.add_argument("--lattice", metavar="PATH", help="lattice JSON file")
@@ -55,27 +55,36 @@ def _add_value_source(p: argparse.ArgumentParser):
                    help="materialization cap override (also LATTICE_SB_MAX_ELEMENTS)")
 
 
-def _resolve_value_source(args) -> lt.Lattice:
-    picked = [s for s in ("name", "powerset", "projective", "lattice")
-              if getattr(args, s) not in (None, False)]
+def _resolve_source(args) -> tuple[lt.Lattice, str | None, int | None, int | None]:
+    """(lattice, family, q, n); family, q and n are None outside the families."""
+    picked = [s for s in ("name", "powerset", "projective", "lattice") if getattr(args, s) is not None]
     if len(picked) != 1:
         raise lt.LatticeError("pick exactly one of --name, --powerset, --projective, --lattice")
-    if args.name:
-        return fq.build_named_lattice(args.name, args.max_elements)
+    if args.name is not None:
+        return fq.build_named_lattice(args.name, args.max_elements), None, None, None
     if args.powerset is not None:
-        return fq.build_powerset_lattice(args.powerset, args.max_elements)
+        bare = args.powerset is True  # N comes from -n
+        if bare == (args.n is None):
+            raise lt.LatticeError("give N once: --powerset N or --powerset -n N")
+        n = args.n if bare else args.powerset
+        return fq.build_powerset_lattice(n, args.max_elements), "powerset", None, n
     if args.projective:
         if args.n is None:
             raise lt.LatticeError("--projective needs -n")
-        return fq.build_projective_lattice(args.n, args.q, args.max_elements)
-    return lt.from_json(_read(args.lattice))
+        return (
+            fq.build_projective_lattice(args.n, args.q, args.max_elements),
+            "projective",
+            args.q,
+            args.n,
+        )
+    return lt.from_json(_read(args.lattice)), None, None, None
 
 
 # --- check ---------------------------------------------------------------------
 
 
 def cmd_check(args) -> int:
-    lat = _resolve_value_source(args)
+    lat = _resolve_source(args)[0]
     info = lt.classify(lat)
     lines = [
         f"elements: {info['elements']}",
@@ -251,14 +260,13 @@ def cmd_fig5(args) -> int:
 # --- scheme --------------------------------------------------------------------
 
 
-def _parse_w(text: str, w_desc: str, max_elements: int | None):
-    """Resolve the puncturing element against the scheme file's lattice kind."""
+def _parse_w(text: str, w_desc: str, lat: lt.Lattice):
+    """Resolve the puncturing element in the scheme file's lattice."""
     first = next(ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#"))
     m = sch._HEADER_RE.match(first)
     if m:
         q, n = int(m.group(1)), int(m.group(2))
         sub = fq.subspace_from_text(w_desc, n, q)
-        lat = fq.build_projective_lattice(n, q, max_elements)
         return lat.name_to_id[fq.subspace_to_text(sub)]
     n = len(first)
     if len(w_desc) != n or any(ch not in "01" for ch in w_desc):
@@ -281,7 +289,7 @@ def cmd_scheme(args) -> int:
 
     if args.w is None:
         raise lt.LatticeError(f"{args.action} needs --w")
-    w = _parse_w(text, args.w, args.max_elements)
+    w = _parse_w(text, args.w, s.lattice)
     if args.action == "puncture":
         after = sch.puncture(s, w)
     else:
@@ -306,35 +314,11 @@ def _num(v) -> str:
 # --- search --------------------------------------------------------------------
 
 
-def _resolve_flag_source(args) -> tuple[lt.Lattice, str | None, int | None, int | None]:
-    """search-style source: --powerset is a flag, -n carries the size."""
-    picked = [s for s in ("name", "powerset", "projective", "lattice")
-              if getattr(args, s) not in (None, False)]
-    if len(picked) != 1:
-        raise lt.LatticeError("pick exactly one of --name, --powerset, --projective, --lattice")
-    if args.name:
-        return fq.build_named_lattice(args.name, args.max_elements), None, None, None
-    if args.powerset:
-        if args.n is None:
-            raise lt.LatticeError("--powerset needs -n")
-        return fq.build_powerset_lattice(args.n, args.max_elements), "powerset", None, args.n
-    if args.projective:
-        if args.n is None:
-            raise lt.LatticeError("--projective needs -n")
-        return (
-            fq.build_projective_lattice(args.n, args.q, args.max_elements),
-            "projective",
-            args.q,
-            args.n,
-        )
-    return lt.from_json(_read(args.lattice)), None, None, None
-
-
 def cmd_search(args) -> int:
-    lat, family, q, n = _resolve_flag_source(args)
+    lat, family, q, n = _resolve_source(args)
     window = tuple(args.window) if args.window else None
     problem = srch.SearchProblem(lat, args.d, window, args.budget_nodes, args.budget_secs)
-    res = srch.max_code(problem, workers=args.workers)
+    res = srch.max_code(problem)
 
     lower = bnd.gv_lower_for_lattice(lat, args.d, window)
     if family is not None:
@@ -366,7 +350,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    lat = _resolve_value_source(args)
+    lat = _resolve_source(args)[0]
     _emit(lt.to_dot(lat), args.output)
     return EXIT_OK
 
@@ -382,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="validate a lattice and print its classification")
-    _add_value_source(p)
+    _add_source(p)
     p.add_argument("-o", "--output", metavar="PATH")
     p.set_defaults(func=cmd_check)
 
@@ -427,23 +411,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scheme)
 
     p = sub.add_parser("search", help="exhaustive maximum-scheme search (JSON report)")
-    p.add_argument("--name", metavar="NAME")
-    p.add_argument("--powerset", action="store_true")
-    p.add_argument("--projective", action="store_true")
-    p.add_argument("--lattice", metavar="PATH")
-    p.add_argument("-q", type=int, default=2)
-    p.add_argument("-n", type=int)
+    _add_source(p)
     p.add_argument("-d", type=int, required=True)
     p.add_argument("--window", type=int, nargs=2, metavar=("M_LO", "M_HI"))
     p.add_argument("--budget-nodes", type=int, default=10_000_000)
     p.add_argument("--budget-secs", type=float, default=60.0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--max-elements", type=int, default=None)
     p.add_argument("-o", "--output", metavar="PATH")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("export-dot", help="Hasse diagram as DOT")
-    _add_value_source(p)
+    _add_source(p)
     p.add_argument("-o", "--output", metavar="PATH")
     p.set_defaults(func=cmd_export_dot)
 

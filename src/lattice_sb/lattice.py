@@ -411,6 +411,16 @@ def _restrict(lat: Lattice, ids: list[int]) -> Lattice:
     return build_lattice([lat.names[x] for x in ids], covers)
 
 
+def window_ids(lat: Lattice, window: tuple[int, int] | None) -> list[int]:
+    """Ids of the elements with height in [lo, hi], or all ids for no window."""
+    if window is None:
+        return list(range(len(lat)))
+    lo, hi = window
+    if not 0 <= lo <= hi:
+        raise ValueError(f"invalid height window {lo} {hi}: need 0 <= lo <= hi")
+    return [x for x in range(len(lat)) if lo <= lat.heights[x] <= hi]
+
+
 def classify(lat: Lattice) -> dict:
     """Structure report used by the check command."""
     return {

@@ -3,23 +3,24 @@
 Vertices are the lattice elements inside the height window, edges join pairs
 at distance >= d, and a maximum scheme is a maximum clique.  The search is
 Tomita-style (greedy coloring bound) with a fixed vertex order (height, then
-element id).  Top-level branches are fully isolated: each starts from the
-shared greedy incumbent and never sees its siblings' improvements, and the
-merge runs in branch order — so the result, proof status, and node counts
-are identical for every worker count.  The node budget applies per top-level
-branch; the wall-clock budget is a safety net and is the only abort path
-that can vary between runs.
+element id), run serially one top-level branch after another.  Each branch
+starts from the greedy incumbent and never sees its earlier siblings'
+improvements, and results merge in branch order.  Sharing the incumbent
+would prune more, but it is an algorithm change of its own: it changes the
+node counts, which the benchmark checks exactly.  The node budget is one
+count over all branches, charged in branch order; the search stops at the
+first branch it aborts.  The wall-clock budget, checked every 4096 nodes,
+is the only abort path that can vary between runs.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .bounds import kks_bound, puncture_budget
-from .lattice import Lattice, iter_bits
+from .lattice import Lattice, iter_bits, window_ids
 from .schemes import Scheme, make_scheme
 
 
@@ -40,15 +41,6 @@ class SearchResult:
     nodes: int
 
 
-def _window_ids(lat: Lattice, window) -> list[int]:
-    if window is None:
-        return list(range(len(lat)))
-    lo, hi = window
-    if lo < 0 or hi < lo:
-        raise ValueError("invalid height window")
-    return [x for x in range(len(lat)) if lo <= lat.heights[x] <= hi]
-
-
 def _build_graph(lat: Lattice, d: int, ids: list[int]):
     verts = sorted(ids, key=lambda x: (lat.heights[x], x))
     m = len(verts)
@@ -66,7 +58,10 @@ class _Budget(Exception):
 
 
 class _BranchSearch:
-    """One self-contained top-level subtree of the clique search."""
+    """The clique search, one top-level branch per run() call.
+
+    The node count and the budgets span all runs; the incumbent does not.
+    """
 
     def __init__(self, adj, node_budget, deadline):
         self.adj = adj
@@ -86,9 +81,9 @@ class _BranchSearch:
             return False
 
     def _expand(self, r_mask: int, p_mask: int, r_size: int):
-        self.nodes += 1
-        if self.nodes > self.node_budget:
+        if self.nodes >= self.node_budget:
             raise _Budget
+        self.nodes += 1
         if self.deadline is not None and self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
             raise _Budget
         if not p_mask:
@@ -139,7 +134,7 @@ def _greedy_mask(adj, m: int) -> tuple[int, int]:
     return mask, size
 
 
-def max_code(problem: SearchProblem, workers: int = 1) -> SearchResult:
+def max_code(problem: SearchProblem) -> SearchResult:
     """Largest scheme with pairwise distance >= d inside the window.
 
     Returns the best scheme found, whether optimality was proven (budgets not
@@ -148,10 +143,8 @@ def max_code(problem: SearchProblem, workers: int = 1) -> SearchResult:
     """
     if problem.d < 1:
         raise ValueError("minimum distance must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     lat = problem.lattice
-    ids = _window_ids(lat, problem.window)
+    ids = window_ids(lat, problem.window)
     if not ids:
         return SearchResult((), 0, True, 0)
     verts, adj = _build_graph(lat, problem.d, ids)
@@ -159,31 +152,15 @@ def max_code(problem: SearchProblem, workers: int = 1) -> SearchResult:
     greedy_mask, greedy_size = _greedy_mask(adj, m)
     deadline = time.monotonic() + problem.budget_secs if problem.budget_secs else None
 
-    branches = []
-    for i in range(m):
-        above = ~((1 << (i + 1)) - 1)
-        branches.append((i, adj[i] & above))
-
-    def run_branch(args):
-        v, cand = args
-        b = _BranchSearch(adj, problem.budget_nodes, deadline)
-        completed = b.run(v, cand, greedy_size)
-        return completed, b.best_size, b.best_mask, b.nodes
-
-    if workers <= 1:
-        results = [run_branch(x) for x in branches]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_branch, branches))
-
+    search = _BranchSearch(adj, problem.budget_nodes, deadline)
     best_size, best_mask = greedy_size, greedy_mask
-    nodes = 0
     proven = True
-    for completed, bs, bm, nd in results:
-        nodes += nd
-        proven = proven and completed
-        if bs > best_size:
-            best_size, best_mask = bs, bm
+    for v in range(m):
+        proven = search.run(v, adj[v] & ~((1 << (v + 1)) - 1), greedy_size)
+        if search.best_size > best_size:
+            best_size, best_mask = search.best_size, search.best_mask
+        if not proven:
+            break
 
     members = tuple(sorted(verts[i] for i in iter_bits(best_mask)))
     if len(members) != best_size:
@@ -192,14 +169,14 @@ def max_code(problem: SearchProblem, workers: int = 1) -> SearchResult:
         check = make_scheme(lat, members)
         if check.min_dist < problem.d:
             raise RuntimeError("search produced a scheme below the required distance")
-    return SearchResult(members, best_size, proven, nodes)
+    return SearchResult(members, best_size, proven, search.nodes)
 
 
 def greedy_code(lat: Lattice, d: int, seed: int | None = None, window=None) -> Scheme:
     """Greedy maximal packing; meets the GV-type lower bound by maximality."""
     if d < 1:
         raise ValueError("minimum distance must be >= 1")
-    ids = _window_ids(lat, window)
+    ids = window_ids(lat, window)
     if not ids:
         raise ValueError("empty height window")
     order = sorted(ids, key=lambda x: (lat.heights[x], x))
@@ -235,7 +212,6 @@ def conjecture_probe(
     d: int,
     budget_nodes: int = 10_000_000,
     budget_secs: float = 60.0,
-    workers: int = 1,
     max_elements: int | None = None,
 ) -> ProbeRow:
     """Compare the constant-dimension bound against the exact search optimum.
@@ -246,7 +222,7 @@ def conjecture_probe(
     from .fq import build_projective_lattice
 
     lat = build_projective_lattice(n, q, max_elements)
-    res = max_code(SearchProblem(lat, d, (l, l), budget_nodes, budget_secs), workers=workers)
+    res = max_code(SearchProblem(lat, d, (l, l), budget_nodes, budget_secs))
     bound = kks_bound(n, l, d, q)
     alpha = puncture_budget(d, False)
     return ProbeRow(

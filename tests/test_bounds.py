@@ -7,8 +7,10 @@ import pytest
 from lattice_sb import (
     BOUND_CSV_HEADER,
     BoundReport,
+    SearchProblem,
     ball_volume,
     build_named_lattice,
+    build_powerset_lattice,
     classical_singleton,
     gaussian,
     gv_lower,
@@ -19,6 +21,7 @@ from lattice_sb import (
     lsb_for_lattice,
     lsb_windowed,
     max_ball_volume,
+    max_code,
     projective_singleton,
     puncture_budget,
     render_report_csv,
@@ -71,6 +74,20 @@ def test_lsb_windowed_sums_verbatim():
     assert lsb_windowed("powerset", 5, 3, 0, 0) == 0
     assert lsb_windowed("powerset", 5, 1, 0, 5) == lsb("powerset", 5, 1)
     assert lsb_windowed("projective", 4, 4, 0, 4, 2) == lsb("projective", 4, 4, 2)
+
+
+def test_lsb_windowed_powerset_bounds_optimum():
+    # constant-weight Singleton bound; windows with M - alpha < 0 are
+    # degenerate and their verbatim 0 is not a bound
+    for n in range(1, 6):
+        lat = build_powerset_lattice(n)
+        for d in range(1, n + 1):
+            a = puncture_budget(d, False)
+            for m, M in itertools.combinations_with_replacement(range(n + 1), 2):
+                if M - a < 0:
+                    continue
+                best = max_code(SearchProblem(lat, d, (m, M))).best_size
+                assert best <= lsb_windowed("powerset", n, d, m, M), (n, d, m, M)
 
 
 def test_lsb_for_lattice_matches_family_formula(pow3, sub3):

@@ -123,6 +123,14 @@ def test_bounds_skips_overdeep(capsys):
     assert "warning" in err
 
 
+def test_bounds_rejects_inverted_window(capsys, tmp_path):
+    path = tmp_path / "p3.json"
+    path.write_text(to_json(build_powerset_lattice(3)))
+    code, _, err = run(capsys, "bounds", "--lattice", str(path), "-d", "2", "--window", "3", "1")
+    assert code == 2
+    assert "window" in err
+
+
 def test_bounds_needs_family(capsys):
     code, _, err = run(capsys, "bounds", "-n", "4", "-d", "3")
     assert code == 2
@@ -291,6 +299,16 @@ def test_search_budget_exhausted_exit(capsys):
     obj = json.loads(out)
     assert obj["proven_optimal"] is False
     assert obj["best_size"] == 2
+    assert obj["nodes"] == 1
+
+
+def test_search_budget_secs_exit(capsys):
+    # the clock is read every 4096 nodes; the full search needs about 8k
+    code, out, _ = run(capsys, "search", "--powerset", "7", "-d", "3", "--budget-secs", "1e-9")
+    assert code == 3
+    obj = json.loads(out)
+    assert obj["proven_optimal"] is False
+    assert obj["nodes"] == 4096
 
 
 def test_search_named_lattice(capsys):
@@ -300,15 +318,24 @@ def test_search_named_lattice(capsys):
     assert obj["sandwich"].startswith("SKIPPED")
 
 
-def test_search_workers_agree(capsys):
-    outs = []
-    for w in ("1", "2", "3"):
-        _, out, _ = run(
-            capsys, "search", "--projective", "-n", "4", "-d", "4",
-            "--window", "2", "2", "--workers", w,
-        )
-        outs.append(out)
-    assert outs[0] == outs[1] == outs[2]
+def test_search_powerset_window_sandwich(capsys):
+    code, out, _ = run(capsys, "search", "--powerset", "4", "-d", "2", "--window", "2", "2")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["best_size"] == 6
+    assert obj["bound"] == 6
+    assert obj["sandwich"] == "PASS"
+
+
+@pytest.mark.parametrize("command", [("check",), ("search", "-d", "2")])
+def test_powerset_size_both_spellings(capsys, command):
+    a = run(capsys, *command, "--powerset", "3")
+    b = run(capsys, *command, "--powerset", "-n", "3")
+    assert a[0] == 0 and a == b
+    for extra in (("--powerset",), ("--powerset", "3", "-n", "3")):
+        code, out, err = run(capsys, *command, *extra)
+        assert code == 2 and out == ""
+        assert "--powerset" in err
 
 
 # --- export-dot ----------------------------------------------------------------------

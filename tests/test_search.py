@@ -6,6 +6,7 @@ import pytest
 
 from lattice_sb import (
     SearchProblem,
+    build_powerset_lattice,
     conjecture_probe,
     greedy_code,
     gv_lower_for_lattice,
@@ -71,13 +72,6 @@ def test_max_code_members_form_valid_scheme(sub3):
     assert len(res.members) == res.best_size
 
 
-def test_max_code_deterministic_across_workers(sub3):
-    base = max_code(SearchProblem(sub3, 2), workers=1)
-    for workers in (2, 3):
-        again = max_code(SearchProblem(sub3, 2), workers=workers)
-        assert again == base  # members, size, flag, and node count all equal
-
-
 def test_max_code_budget_exhaustion(n5):
     # greedy finds 2 here while the optimum is 3, so pruning cannot close
     # every branch within a single node
@@ -86,13 +80,26 @@ def test_max_code_budget_exhaustion(n5):
     starved = max_code(SearchProblem(n5, 2, budget_nodes=1))
     assert not starved.proven_optimal
     assert starved.best_size == 2  # greedy incumbent survives
+    assert starved.nodes == 1
+    for budget in (2, full.nodes - 1):
+        starved = max_code(SearchProblem(n5, 2, budget_nodes=budget))
+        assert not starved.proven_optimal
+        assert starved.nodes <= budget  # one count over all branches
+    assert max_code(SearchProblem(n5, 2, budget_nodes=full.nodes)) == full
+
+
+def test_max_code_deadline_stops_early():
+    # about 8k nodes unbudgeted; the clock is read at the 4096th node
+    res = max_code(SearchProblem(build_powerset_lattice(7), 3, budget_secs=1e-9))
+    assert not res.proven_optimal
+    assert res.nodes == 4096
 
 
 def test_max_code_validation(sub2):
     with pytest.raises(ValueError):
         max_code(SearchProblem(sub2, 0))
     with pytest.raises(ValueError):
-        max_code(SearchProblem(sub2, 2), workers=0)
+        max_code(SearchProblem(sub2, 2, window=(2, 1)))
 
 
 # --- greedy -------------------------------------------------------------------------
@@ -147,8 +154,3 @@ def test_probe_degenerate_flag():
     assert row.bound == 7
     assert row.best_size == 7
     assert row.attained
-
-
-def test_probe_deterministic_across_workers():
-    rows = [conjecture_probe(2, 4, 2, 4, workers=w) for w in (1, 2, 3)]
-    assert rows[0] == rows[1] == rows[2]
