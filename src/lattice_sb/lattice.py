@@ -34,15 +34,25 @@ class CapExceeded(LatticeError):
 
 
 def element_cap(max_elements: int | None = None) -> int:
-    """Effective materialization cap: explicit arg, else env var, else default."""
+    """Effective materialization cap: explicit arg, else env var, else default.
+
+    Raises:
+        LatticeError: the env var is not an integer, or either value is
+            negative (an input error, not a cap hit).
+    """
     if max_elements is not None:
+        if max_elements < 0:
+            raise LatticeError(f"max_elements (--max-elements) must be >= 0, got {max_elements}")
         return max_elements
     raw = os.environ.get(ENV_MAX_ELEMENTS)
     if raw:
         try:
-            return int(raw)
+            cap = int(raw)
         except ValueError:
             raise LatticeError(f"{ENV_MAX_ELEMENTS} must be an integer, got {raw!r}") from None
+        if cap < 0:
+            raise LatticeError(f"{ENV_MAX_ELEMENTS} must be >= 0, got {raw!r}")
+        return cap
     return DEFAULT_MAX_ELEMENTS
 
 
@@ -443,7 +453,13 @@ def to_json(lat: Lattice) -> str:
     )
 
 
-def from_json(text: str) -> Lattice:
+def from_json(text: str, max_elements: int | None = None) -> Lattice:
+    """Parse the to_json form and build the lattice.
+
+    Given max_elements, inputs with more elements than element_cap(max_elements)
+    raise CapExceeded before any table is built.  Without it the text is
+    trusted as is; the CLI always passes the resolved cap.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -454,6 +470,13 @@ def from_json(text: str) -> Lattice:
     covers = obj["covers"]
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise LatticeError('"elements" must be a list of names')
+    if max_elements is not None:
+        cap = element_cap(max_elements)
+        if len(elements) > cap:
+            raise CapExceeded(
+                f"lattice JSON has {len(elements)} elements; cap is {cap} "
+                f"(raise via max_elements or LATTICE_SB_MAX_ELEMENTS)"
+            )
     if not isinstance(covers, list):
         raise LatticeError('"covers" must be a list of [lower, upper] pairs')
     for c in covers:

@@ -2,15 +2,27 @@
 
 Vertices are the lattice elements inside the height window, edges join pairs
 at distance >= d, and a maximum scheme is a maximum clique.  The search is
-Tomita-style (greedy coloring bound) with a fixed vertex order (height, then
-element id), run serially one top-level branch after another.  Each branch
-starts from the greedy incumbent and never sees its earlier siblings'
-improvements, and results merge in branch order.  Sharing the incumbent
-would prune more, but it is an algorithm change of its own: it changes the
-node counts, which the benchmark checks exactly.  The node budget is one
-count over all branches, charged in branch order; the search stops at the
-first branch it aborts.  The wall-clock budget, checked every 4096 nodes,
-is the only abort path that can vary between runs.
+Tomita-style (greedy coloring bound, as in Tomita-Seki-Kameda MCS) with a
+fixed vertex order (height, then element id), run serially one top-level
+branch after another.
+
+Each node colours its candidates class by class on bitsets: class c starts
+from the uncoloured candidates and repeatedly takes the lowest one, removing
+it and its neighbours, so a node costs O(|P|) big-int operations rather than
+O(|P| * colours).  These are exactly the classes, each in ascending order,
+of sequential greedy colouring in vertex order, so the branching order, the
+bounds, the node counts and the schemes found are those of that colouring.
+The MCS cut returns only candidates whose colour exceeds best - |R|; the
+others would be pruned before they were expanded, so it saves work without
+changing the node count.
+
+Each branch starts from the greedy incumbent and never sees its earlier
+siblings' improvements, and results merge in branch order.  Sharing the
+incumbent would prune more, but it is an algorithm change of its own: it
+changes the node counts, which the benchmark checks exactly.  The node
+budget is one count over all branches, charged in branch order; the search
+stops at the first branch it aborts.  The wall-clock budget, checked every
+4096 nodes, is the only abort path that can vary between runs.
 """
 
 from __future__ import annotations
@@ -65,6 +77,8 @@ class _BranchSearch:
 
     def __init__(self, adj, node_budget, deadline):
         self.adj = adj
+        # non_adj[v]: every vertex except v and its neighbours
+        self.non_adj = [~(a | (1 << v)) for v, a in enumerate(adj)]
         self.node_budget = node_budget
         self.deadline = deadline
         self.nodes = 0
@@ -91,7 +105,7 @@ class _BranchSearch:
                 self.best_size = r_size
                 self.best_mask = r_mask
             return
-        order, bound = self._color_sort(p_mask)
+        order, bound = self._color_sort(p_mask, self.best_size - r_size)
         adj = self.adj
         for idx in range(len(order) - 1, -1, -1):
             if r_size + bound[idx] <= self.best_size:
@@ -100,27 +114,29 @@ class _BranchSearch:
             self._expand(r_mask | (1 << v), p_mask & adj[v], r_size + 1)
             p_mask ^= 1 << v
 
-    def _color_sort(self, p_mask: int):
-        # Greedy sequential coloring in vertex order; a clique meets each
-        # color class at most once, so color index bounds the growth.
-        classes: list[list[int]] = []
-        masks: list[int] = []
-        adj = self.adj
-        for v in iter_bits(p_mask):
-            for ci, cmask in enumerate(masks):
-                if not adj[v] & cmask:
-                    classes[ci].append(v)
-                    masks[ci] |= 1 << v
-                    break
-            else:
-                classes.append([v])
-                masks.append(1 << v)
+    def _color_sort(self, p_mask: int, kmin: int):
+        """Greedy colour classes of p_mask, built one at a time on bitsets.
+
+        Returns (order, bound): the vertices class by class, each class
+        ascending, and their colours, keeping only colours > kmin.  A clique
+        meets each class at most once, so the colour bounds its growth.
+        """
+        non_adj = self.non_adj
         order: list[int] = []
         bound: list[int] = []
-        for ci, cls in enumerate(classes):
-            for v in cls:
-                order.append(v)
-                bound.append(ci + 1)
+        rest = p_mask
+        color = 0
+        while rest:
+            color += 1
+            q = rest
+            while q:
+                low = q & -q
+                v = low.bit_length() - 1
+                rest ^= low
+                q &= non_adj[v]
+                if color > kmin:
+                    order.append(v)
+                    bound.append(color)
         return order, bound
 
 

@@ -76,6 +76,39 @@ def test_check_missing_file(capsys):
     assert code == 2
 
 
+def chain_json(length):
+    names = [f"c{i}" for i in range(length)]
+    return json.dumps({"elements": names, "covers": [[i, i + 1] for i in range(length - 1)]})
+
+
+@pytest.mark.parametrize("command", [("check",), ("bounds", "-d", "2"), ("search", "-d", "2")])
+def test_lattice_file_enforces_cap(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.delenv("LATTICE_SB_MAX_ELEMENTS", raising=False)
+    path = tmp_path / "chain.json"
+    path.write_text(chain_json(130))
+    code, out, err = run(capsys, *command, "--lattice", str(path))
+    assert code == 2 and out == ""
+    assert "130 elements; cap is 128" in err
+    code, _, _ = run(capsys, *command, "--lattice", str(path), "--max-elements", "130")
+    assert code == 0
+
+
+@pytest.mark.parametrize("source", ["env", "flag"])
+def test_negative_cap_is_input_error(capsys, monkeypatch, source):
+    argv = ["bounds", "--projective", "-q", "2", "--n-min", "3", "--n-max", "4",
+            "--d-min", "2", "--d-max", "2"]
+    if source == "env":
+        monkeypatch.setenv("LATTICE_SB_MAX_ELEMENTS", "-1")
+        named = "LATTICE_SB_MAX_ELEMENTS"
+    else:
+        monkeypatch.delenv("LATTICE_SB_MAX_ELEMENTS", raising=False)
+        argv += ["--max-elements", "-1"]
+        named = "--max-elements"
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert named in err and "must be >= 0" in err
+
+
 # --- bounds --------------------------------------------------------------------------
 
 
@@ -300,6 +333,21 @@ def test_search_budget_exhausted_exit(capsys):
     assert obj["proven_optimal"] is False
     assert obj["best_size"] == 2
     assert obj["nodes"] == 1
+
+
+def test_search_budget_stop_skips_sandwich(capsys, monkeypatch):
+    argv = ("search", "--projective", "-n", "4", "-d", "4", "--window", "2", "2",
+            "--budget-nodes", "1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    obj = json.loads(out)
+    assert obj["proven_optimal"] is False
+    assert obj["sandwich"] == "SKIPPED (search not proven)"
+    # a best size above the upper bound is a bug whatever the budget
+    monkeypatch.setattr("lattice_sb.bounds.lsb_windowed", lambda *a: obj["best_size"] - 1)
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert json.loads(out)["sandwich"] == "FAIL"
 
 
 def test_search_budget_secs_exit(capsys):

@@ -264,3 +264,23 @@ def test_cap_env_must_be_int(monkeypatch):
     monkeypatch.setenv("LATTICE_SB_MAX_ELEMENTS", "many")
     with pytest.raises(LatticeError):
         build_powerset_lattice(2)
+
+
+def test_negative_cap_is_input_error(monkeypatch):
+    monkeypatch.setenv("LATTICE_SB_MAX_ELEMENTS", "-1")
+    with pytest.raises(LatticeError, match="LATTICE_SB_MAX_ELEMENTS must be >= 0") as exc:
+        build_powerset_lattice(2)
+    assert not isinstance(exc.value, CapExceeded)
+    monkeypatch.delenv("LATTICE_SB_MAX_ELEMENTS")
+    with pytest.raises(LatticeError, match="max_elements") as exc:
+        build_powerset_lattice(2, max_elements=-1)
+    assert not isinstance(exc.value, CapExceeded)
+
+
+def test_from_json_cap(monkeypatch, pow3):
+    monkeypatch.delenv("LATTICE_SB_MAX_ELEMENTS", raising=False)
+    text = to_json(pow3)
+    with pytest.raises(CapExceeded, match="8 elements; cap is 7"):
+        from_json(text, max_elements=7)
+    assert len(from_json(text, max_elements=8)) == 8
+    assert len(from_json(text)) == 8  # no cap unless one is given

@@ -1,19 +1,26 @@
 """Branch-and-bound maximum-scheme search, greedy packing, and the probe."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lattice_sb import (
     SearchProblem,
+    build_named_lattice,
     build_powerset_lattice,
+    build_projective_lattice,
     conjecture_probe,
     greedy_code,
     gv_lower_for_lattice,
     make_scheme,
     max_code,
     min_distance,
+    window_ids,
 )
+from lattice_sb.lattice import iter_bits
+from lattice_sb.search import _BranchSearch
 
 
 def brute_force_max(lat, d, window=None):
@@ -29,7 +36,101 @@ def brute_force_max(lat, d, window=None):
     return 0
 
 
+def greedy_color_sort(adj, p_mask):
+    """Reference colouring: sequential greedy in vertex order, each vertex
+    into the first class holding none of its neighbours; (order, bound) lists
+    the vertices class by class with their colours."""
+    classes, masks = [], []
+    for v in iter_bits(p_mask):
+        for ci, cmask in enumerate(masks):
+            if not adj[v] & cmask:
+                classes[ci].append(v)
+                masks[ci] |= 1 << v
+                break
+        else:
+            classes.append([v])
+            masks.append(1 << v)
+    order = [v for cls in classes for v in cls]
+    bound = [ci + 1 for ci, cls in enumerate(classes) for _ in cls]
+    return order, bound
+
+
+def random_graph(m, density, rng):
+    adj = [0] * m
+    for i, j in itertools.combinations(range(m), 2):
+        if rng.random() < density:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+# --- colouring ----------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), st.floats(0, 1), st.integers(0, 2**32), st.integers(1, 10))
+def test_color_sort_matches_greedy_reference(m, density, seed, kmin):
+    rng = random.Random(seed)
+    adj = random_graph(m, density, rng)
+    p_mask = rng.getrandbits(m)
+    search = _BranchSearch(adj, 0, None)
+    order, bound = greedy_color_sort(adj, p_mask)
+    assert search._color_sort(p_mask, 0) == (order, bound)
+    # the MCS cut keeps exactly the vertices coloured above kmin
+    kept = [(v, c) for v, c in zip(order, bound) if c > kmin]
+    assert search._color_sort(p_mask, kmin) == ([v for v, _ in kept], [c for _, c in kept])
+
+
 # --- exact search -------------------------------------------------------------------
+
+
+# (best_size, nodes) pinned: node counts change only with the algorithm.
+@pytest.mark.parametrize(
+    "build, d, window, best_size, nodes",
+    [
+        (lambda: build_projective_lattice(5, 2, max_elements=400), 2, (1, 2), 155, 15_996),
+        (lambda: build_projective_lattice(4, 3, max_elements=400), 2, (1, 2), 130, 12_455),
+        (lambda: build_projective_lattice(4, 3, max_elements=400), 4, (2, 2), 10, 886),
+        (lambda: build_powerset_lattice(8, max_elements=400), 4, None, 16, 17_700),
+        (lambda: build_powerset_lattice(7), 3, None, 16, 8_348),
+    ],
+    ids=["sub52-d2-w12", "sub43-d2-w12", "sub43-d4-w22", "pow8-d4", "pow7-d3"],
+)
+def test_max_code_pinned_node_counts(build, d, window, best_size, nodes):
+    res = max_code(SearchProblem(build(), d, window))
+    assert res.proven_optimal
+    assert (res.best_size, res.nodes) == (best_size, nodes)
+
+
+def networkx_clique_number(lat, d, window):
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph()
+    ids = window_ids(lat, window)
+    g.add_nodes_from(ids)
+    g.add_edges_from((a, b) for a, b in itertools.combinations(ids, 2) if lat.distance(a, b) >= d)
+    return nx.max_weight_clique(g, weight=None)[1] if ids else 0
+
+
+ORACLE_LATTICES = {
+    **{f"pow{n}": (lambda n=n: build_powerset_lattice(n)) for n in range(1, 6)},
+    "sub32": lambda: build_projective_lattice(3, 2),
+    "sub42": lambda: build_projective_lattice(4, 2),
+    "sub33": lambda: build_projective_lattice(3, 3),
+    **{nm: (lambda nm=nm: build_named_lattice(nm)) for nm in ("M3", "N5", "L1", "L2")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_LATTICES))
+def test_max_code_matches_networkx_oracle(name):
+    lat = ORACLE_LATTICES[name]()
+    h = lat.total_height()
+    bands = {(0, h), (1, h - 1), (h // 2, h // 2), (1, h // 2), (h // 2, h)}
+    windows = [None] + sorted((lo, hi) for lo, hi in bands if lo <= hi)
+    for d in range(1, 2 * h + 1):
+        for window in windows:
+            res = max_code(SearchProblem(lat, d, window))
+            assert res.proven_optimal
+            assert res.best_size == networkx_clique_number(lat, d, window), (d, window)
 
 
 def test_max_code_sub2_d2(sub2):
