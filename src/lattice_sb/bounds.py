@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .counting import FAMILIES, binomial, gaussian, whitney_closed_form
-from .lattice import Lattice, sublattice_closure, window_ids
+from .lattice import Lattice, window_ids
 
 
 def puncture_budget(d: int, distributive: bool) -> int:
@@ -69,22 +69,22 @@ def lsb_windowed(family: str, n: int, d: int, m: int, M: int, q: int | None = No
 
 
 def lsb_for_lattice(lat: Lattice, d: int) -> int:
-    """The bound on an explicit modular lattice, by materialized puncturing.
+    """The bound on an explicit modular lattice, by puncturing.
 
-    Repeats alpha times: meet everything with the least-id coatom, i.e. pass
-    to that coatom's principal ideal.  The result is the element count of the
-    final ideal.
+    Repeats alpha times: pass to the principal ideal of the least-id coatom.
+    The coatoms of the ideal below w are the lower covers of w, so this walks
+    down from the top one height at a time.  The result is the element count
+    of the final ideal.
     """
     if not lat.is_modular():
         raise ValueError("the bound requires a modular lattice")
     a = puncture_budget(d, lat.is_distributive())
     if a > lat.total_height():
         raise ValueError(f"puncture budget {a} exceeds lattice height {lat.total_height()}")
-    cur = lat
+    w = lat.top
     for _ in range(a):
-        w = min(cur.coatoms())
-        cur = sublattice_closure(cur, cur.downset(w))
-    return len(cur)
+        w = min(y for y in lat.downset(w) if lat.heights[y] == lat.heights[w] - 1)
+    return len(lat.downset(w))
 
 
 def classical_singleton(n: int, d: int) -> int:

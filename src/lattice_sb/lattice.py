@@ -86,13 +86,9 @@ class Lattice:
         self._down = tuple(down)
         self.name_to_id = {nm: i for i, nm in enumerate(self.names)}
         lower: list[list[int]] = [[] for _ in self.names]
-        upper: list[list[int]] = [[] for _ in self.names]
         for lo, hi in self.covers:
             lower[hi].append(lo)
-            upper[lo].append(hi)
         self._lower_covers = tuple(tuple(v) for v in lower)
-        self._upper_covers = tuple(tuple(v) for v in upper)
-        self._cache: dict[str, bool] = {}
 
     def __len__(self) -> int:
         return len(self.names)
@@ -169,88 +165,74 @@ class Lattice:
         self._check_valuation_len(v)
         return all(v[lo] < v[hi] for lo, hi in self.covers)
 
-    # --- structure predicates (cached; the lattice is immutable) ----------
-
-    def _cached(self, key, fn) -> bool:
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
+    # --- structure predicates --------------------------------------------
+    # Each is one pass over the covers or the unordered pairs, through the
+    # height function (longest chain from the bottom) or the down-set masks.
 
     def has_jordan_dedekind(self) -> bool:
-        """All maximal chains between any two comparable elements have equal length."""
+        """All maximal chains between two comparable elements have equal length.
 
-        def compute() -> bool:
-            n = len(self.names)
-            order = sorted(range(n), key=lambda x: (self.heights[x], x))
-            for a in range(n):
-                up_a = self._up[a]
-                minlen = {a: 0}
-                maxlen = {a: 0}
-                for x in order:
-                    if x == a or not (up_a >> x) & 1:
-                        continue
-                    preds = [p for p in self._lower_covers[x] if (up_a >> p) & 1]
-                    mn = min(minlen[p] for p in preds) + 1
-                    mx = max(maxlen[p] for p in preds) + 1
-                    if mn != mx:
-                        return False
-                    minlen[x] = mn
-                    maxlen[x] = mx
-            return True
-
-        return self._cached("jordan_dedekind", compute)
+        Decided as "every cover raises the height by exactly one": then each
+        maximal chain of [a, b] has length h(b) - h(a); conversely a cover
+        lo < hi with h(hi) > h(lo) + 1 ends a chain from the bottom that is
+        shorter than the longest one to hi.
+        """
+        h = self.heights
+        return all(h[hi] == h[lo] + 1 for lo, hi in self.covers)
 
     def is_modular(self) -> bool:
-        """Exhaustive check of a <= c  =>  a v (b ^ c) == (a v b) ^ c."""
+        """a <= c implies a v (b ^ c) == (a v b) ^ c.
 
-        def compute() -> bool:
-            n = len(self.names)
-            jt, mt = self.join_table, self.meet_table
-            for a in range(n):
-                ja = jt[a]
-                for c in iter_bits(self._up[a]):
-                    mtc = mt[c]
-                    for b in range(n):
-                        if ja[mt[b][c]] != mtc[ja[b]]:
-                            return False
-            return True
-
-        return self._cached("modular", compute)
+        Decided as "graded, and the height is a valuation",
+        h(a v b) + h(a ^ b) == h(a) + h(b) for every pair (Stanley,
+        Enumerative Combinatorics 1, section 3.3).
+        """
+        return self.has_jordan_dedekind() and self.is_valuation(self.heights)
 
     def is_distributive(self) -> bool:
-        """Exhaustive check of both distributive laws over all triples."""
+        """a ^ (b v c) == (a ^ b) v (a ^ c) (equivalently, its dual).
 
-        def compute() -> bool:
-            n = len(self.names)
-            jt, mt = self.join_table, self.meet_table
-            for a in range(n):
-                ja, ma = jt[a], mt[a]
-                for b in range(n):
-                    jb, mb = jt[b], mt[b]
-                    for c in range(n):
-                        if ja[mb[c]] != mt[ja[b]][ja[c]]:
-                            return False
-                        if ma[jb[c]] != jt[ma[b]][ma[c]]:
-                            return False
-            return True
-
-        return self._cached("distributive", compute)
+        Decided as "every join-irreducible (exactly one lower cover) is
+        join-prime": p <= a v b implies p <= a or p <= b.  Then x -> {join-
+        irreducibles below x} is a lattice embedding into a power set
+        (Birkhoff; Davey-Priestley, Introduction to Lattices and Order, ch. 5).
+        """
+        irr = 0
+        for x, lower in enumerate(self._lower_covers):
+            if len(lower) == 1:
+                irr |= 1 << x
+        down, jt = self._down, self.join_table
+        n = len(self.names)
+        for a in range(n):
+            da, ja = down[a], jt[a]
+            for b in range(a + 1, n):
+                if (down[ja[b]] & ~(da | down[b])) & irr:
+                    return False
+        return True
 
     def is_geometric(self) -> bool:
-        """Every element is the join of the atoms below it."""
+        """Atomistic (every element is the join of the atoms below it) and
+        upper semimodular.
 
-        def compute() -> bool:
-            ats = self.atoms()
-            for x in range(len(self.names)):
-                acc = self.bottom
-                for t in ats:
-                    if self.leq(t, x):
-                        acc = self.join_table[acc][t]
-                if acc != x:
+        Atomistic is decided as "every join-irreducible is an atom", since
+        each element is the join of the join-irreducibles below it.
+        Semimodular is decided as "graded, and h(a v b) + h(a ^ b) <=
+        h(a) + h(b) for every pair" (Stanley, Enumerative Combinatorics 1,
+        section 3.3).
+        """
+        bottom = (self.bottom,)
+        if any(len(lower) == 1 and lower != bottom for lower in self._lower_covers):
+            return False
+        if not self.has_jordan_dedekind():
+            return False
+        h, jt, mt = self.heights, self.join_table, self.meet_table
+        n = len(h)
+        for a in range(n):
+            ha, ja, ma = h[a], jt[a], mt[a]
+            for b in range(a + 1, n):
+                if h[ja[b]] + h[ma[b]] > ha + h[b]:
                     return False
-            return True
-
-        return self._cached("geometric", compute)
+        return True
 
 
 def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Lattice:
@@ -378,8 +360,15 @@ def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Latt
 
 
 def with_names(lat: Lattice, names: Sequence[str]) -> Lattice:
-    """The same lattice with replaced display names (id order preserved)."""
-    return build_lattice(names, lat.covers)
+    """The same lattice with replaced display names; ids, order and tables are kept.
+
+    Raises:
+        LatticeError: names is not one distinct name per element.
+    """
+    if len(names) != len(lat) or len(set(names)) != len(lat):
+        raise LatticeError(f"need {len(lat)} distinct names, got {len(set(names))} of {len(names)}")
+    return Lattice(names, lat.covers, lat._up, lat._down, lat.heights,
+                   lat.join_table, lat.meet_table, lat.bottom, lat.top)
 
 
 def sublattice_closure(lat: Lattice, seed: Iterable[int]) -> Lattice:

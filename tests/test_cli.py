@@ -50,6 +50,18 @@ def test_check_lattice_file(capsys, tmp_path):
     assert "lattice_valid: true" in out
 
 
+def test_check_atomistic_ungraded_is_not_geometric(capsys, tmp_path):
+    path = tmp_path / "ungraded.json"
+    path.write_text(json.dumps({
+        "elements": ["0", "a", "b", "c", "x", "1"],
+        "covers": [[0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [3, 5], [4, 5]],
+    }))
+    code, out, _ = run(capsys, "check", "--lattice", str(path))
+    assert code == 0
+    assert "jordan_dedekind: false" in out
+    assert "geometric: false" in out
+
+
 def test_check_requires_one_source(capsys):
     code, _, err = run(capsys, "check")
     assert code == 2

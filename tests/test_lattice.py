@@ -209,12 +209,22 @@ def test_sublattice_closure_is_idempotent(sub3):
     assert sub.covers == sub3.covers
 
 
-def test_with_names(pow3):
+def test_with_names(pow3, m3, l2):
     renamed = with_names(pow3, [f"v{i}" for i in range(8)])
     assert renamed.covers == pow3.covers
     assert renamed.name(renamed.top) == "v7"
+    assert renamed.name_to_id["v5"] == 5
     with pytest.raises(LatticeError):
         with_names(pow3, ["too", "few"])
+    with pytest.raises(LatticeError, match="distinct"):
+        with_names(pow3, ["v0"] * 8)
+    # renamed stock lattices carry the tables a full rebuild computes
+    for lat in (m3, l2):
+        rebuilt = build_lattice(lat.names, lat.covers)
+        assert lat.heights == rebuilt.heights
+        assert lat.join_table == rebuilt.join_table
+        assert lat.meet_table == rebuilt.meet_table
+        assert (lat.bottom, lat.top) == (rebuilt.bottom, rebuilt.top)
 
 
 # --- serialization ----------------------------------------------------------------
