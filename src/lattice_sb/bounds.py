@@ -9,7 +9,7 @@ puncturing of the actual lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .counting import FAMILIES, binomial, gaussian, whitney_closed_form
 from .lattice import Lattice, window_ids
@@ -147,6 +147,40 @@ def gv_lower_for_lattice(lat: Lattice, d: int, window: tuple[int, int] | None = 
     return -(-len(ids) // vol)
 
 
+def gv_lower_values(lat: Lattice, d_values, window: tuple[int, int] | None = None) -> list[int]:
+    """gv_lower_for_lattice(lat, d, window) for each d in d_values, in one pass.
+
+    Each pair of window elements is measured once into a per-centre histogram
+    of distances; the ball volume of radius r around a centre is a prefix sum
+    of its histogram, and the bound for d takes the maximum over centres at
+    r = d - 1.
+    """
+    if any(d < 1 for d in d_values):
+        raise ValueError("minimum distance must be >= 1")
+    ids = window_ids(lat, window)
+    if not ids:
+        return [0 for _ in d_values]
+    h, jt, mt = lat.heights, lat.join_table, lat.meet_table
+    span = lat.total_height() + 1  # every distance is below this
+    hists = [[0] * span for _ in ids]
+    for i, c in enumerate(ids):
+        hc, jc, mc = hists[i], jt[c], mt[c]
+        hc[0] += 1
+        for k in range(i + 1, len(ids)):
+            x = ids[k]
+            t = h[jc[x]] - h[mc[x]]
+            hc[t] += 1
+            hists[k][t] += 1
+    vol = [0] * span  # vol[r]: the largest ball of radius r
+    for hc in hists:
+        ball = 0
+        for r, count in enumerate(hc):
+            ball += count
+            if ball > vol[r]:
+                vol[r] = ball
+    return [-(-len(ids) // vol[min(d - 1, span - 1)]) for d in d_values]
+
+
 def gv_lower(family: str, n: int, d: int, q: int | None = None, max_elements: int | None = None) -> int:
     """GV-type lower bound for a family.
 
@@ -171,8 +205,7 @@ def gv_lower(family: str, n: int, d: int, q: int | None = None, max_elements: in
 BOUND_CSV_HEADER = "family,q,n,d,m,M,lsb,lsb_log2,gv_lower,gv_lower_log2,oracle_max"
 
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     family: str
     q: int | None
     n: int

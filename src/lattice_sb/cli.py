@@ -120,19 +120,16 @@ def _range_values(args, single: str, lo_flag: str, hi_flag: str, what: str) -> l
 
 def cmd_bounds(args) -> int:
     window = tuple(args.window) if args.window else None
+    m, M = window or (None, None)
     d_values = _range_values(args, "d", "d_min", "d_max", "d")
     reports: list[bnd.BoundReport] = []
 
     if args.lattice:
         lat = _load_json(args)
-        n = lat.total_height()
-        for d in d_values:
-            r = bnd.BoundReport("lattice", None, n, d)
-            r.lsb_value = bnd.lsb_for_lattice(lat, d)
-            r.gv_value = bnd.gv_lower_for_lattice(lat, d, window)
-            if window:
-                r.m, r.M = window
-            reports.append(r)
+        lsbs = [bnd.lsb_for_lattice(lat, d) for d in d_values]
+        gvs = bnd.gv_lower_values(lat, d_values, window)
+        for d, value, gv in zip(d_values, lsbs, gvs):
+            reports.append(bnd.BoundReport("lattice", None, lat.total_height(), d, m, M, value, gv))
         _emit(bnd.render_report_csv(reports), args.output)
         return EXIT_OK
 
@@ -145,29 +142,35 @@ def cmd_bounds(args) -> int:
     n_values = _range_values(args, "n", "n_min", "n_max", "n")
 
     for n in n_values:
+        rows = []  # (d, lsb value) of the rows kept for this n
         for d in d_values:
             a = bnd.puncture_budget(d, family == "powerset")
             if a > n:
                 print(f"warning: skipping n={n} d={d} (puncture budget {a} > n)", file=sys.stderr)
                 continue
-            r = bnd.BoundReport(family, q, n, d)
             if window:
-                m, M = window
                 if M > n:
                     print(f"warning: skipping n={n} d={d} (window top {M} > n)", file=sys.stderr)
                     continue
-                r.m, r.M = m, M
-                r.lsb_value = bnd.lsb_windowed(family, n, d, m, M, q)
+                rows.append((d, bnd.lsb_windowed(family, n, d, m, M, q)))
                 if family == "projective" and m == M and bnd.kks_degenerate(m, d):
                     print(f"warning: degenerate window at n={n} d={d}: bound forced to "
                           f"height {m - a} < 0", file=sys.stderr)
             else:
-                r.lsb_value = bnd.lsb(family, n, d, q)
+                rows.append((d, bnd.lsb(family, n, d, q)))
+        if not rows:
+            continue
+        ds = [d for d, _ in rows]
+        if family == "powerset":
+            gvs = [bnd.gv_lower(family, n, d) for d in ds]
+        else:
+            # One lattice, and one pass over its pairs, for every d of this n.
             try:
-                r.gv_value = bnd.gv_lower(family, n, d, q, args.max_elements)
+                gvs = bnd.gv_lower_values(fq.build_projective_lattice(n, q, args.max_elements), ds)
             except lt.CapExceeded:
-                r.gv_value = None
-            reports.append(r)
+                gvs = [None] * len(ds)
+        for (d, value), gv in zip(rows, gvs):
+            reports.append(bnd.BoundReport(family, q, n, d, m, M, value, gv))
     _emit(bnd.render_report_csv(reports), args.output)
     return EXIT_OK
 
@@ -271,7 +274,7 @@ def _parse_w(text: str, w_desc: str, lat: lt.Lattice):
     if m:
         q, n = int(m.group(1)), int(m.group(2))
         sub = fq.subspace_from_text(w_desc, n, q)
-        return lat.name_to_id[fq.subspace_to_text(sub)]
+        return fq.subspace_id(lat, sub)
     n = len(first)
     if len(w_desc) != n or any(ch not in "01" for ch in w_desc):
         raise lt.LatticeError(f"puncturing element {w_desc!r} must be {n} binary digits")

@@ -1,16 +1,22 @@
 """Prime-field linear algebra and the stock lattices.
 
 Subspaces of F_q^n are canonicalized as reduced row echelon matrices, so
-equality of subspaces is equality of values.  On top of that sit the
-constructors for the projective lattice Sub(F_q^n), the power-set lattice,
-and the four small named example lattices (M3, N5, L1, L2).
+equality of subspaces is equality of values, and the RREF is a subspace's
+canonical name.  On top of that sit the constructors for the projective
+lattice Sub(F_q^n), the power-set lattice, and the four small named example
+lattices (M3, N5, L1, L2).
+
+The projective lattice takes its order from vector masks: vector x of F_q^n
+is bit sum(x_i * q^i), a subspace is the mask of its vectors, and A <= B is
+a subset test on the masks.  The elimination routines (reduce_vector,
+subspace_leq, subspace_sum, subspace_intersect) decide the same relations
+by linear algebra and serve as the reference for that order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .counting import gaussian
 from .lattice import (
@@ -43,8 +49,7 @@ def _check_field(q: int):
         raise ValueError(f"q must be a prime, got {q}")
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """A subspace of F_q^ambient, stored as its canonical RREF basis rows."""
 
     q: int
@@ -200,6 +205,8 @@ def subspace_to_text(sub: Subspace) -> str:
 
 
 def subspace_from_text(text: str, ambient: int, q: int) -> Subspace:
+    if q > 7:
+        raise ValueError("text format supports q <= 7")
     rows = []
     for part in text.strip().split("/"):
         if len(part) != ambient or not part.isdigit():
@@ -233,8 +240,9 @@ def build_powerset_lattice(n: int, max_elements: int | None = None) -> Lattice:
 def build_projective_lattice(n: int, q: int, max_elements: int | None = None) -> Lattice:
     """The lattice of all subspaces of F_q^n, ordered by inclusion.
 
-    Ids follow all_subspaces(n, q) order, so height equals dimension and the
-    name of an element is its subspace text form.
+    Ids follow all_subspaces(n, q) order, so height equals dimension, and
+    the name of an element is subspace_name of its subspace.  Covers join
+    subspaces of consecutive dimensions whose vector masks are nested.
     """
     _check_field(q)
     if n < 1:
@@ -247,22 +255,60 @@ def build_projective_lattice(n: int, q: int, max_elements: int | None = None) ->
             f"(raise via max_elements or LATTICE_SB_MAX_ELEMENTS)"
         )
     subs = list(all_subspaces(n, q))
-    names = [subspace_to_text(s) for s in subs]
-    by_dim: dict[int, list[int]] = {}
+    masks = _vector_masks(subs)
+    by_dim: list[list[int]] = [[] for _ in range(n + 1)]
     for i, s in enumerate(subs):
-        by_dim.setdefault(s.dim, []).append(i)
+        by_dim[s.dim].append(i)
     covers = []
     for k in range(n):
-        for a in by_dim.get(k, ()):
-            for b in by_dim.get(k + 1, ()):
-                if subspace_leq(subs[a], subs[b]):
-                    covers.append((a, b))
-    return build_lattice(names, covers)
+        for b in by_dim[k + 1]:
+            outside = ~masks[b]
+            covers += [(a, b) for a in by_dim[k] if not masks[a] & outside]
+    return build_lattice([subspace_name(s) for s in subs], covers)
+
+
+def _vector_masks(subs: list[Subspace]) -> list[int]:
+    """The mask of the vectors of each subspace; vector x is bit sum(x_i * q^i).
+
+    The span of RREF rows r_1..r_k is the span of r_2..r_k plus the
+    multiples of r_1.  Dropping the first row of an RREF matrix leaves an
+    RREF matrix of one dimension less, so with subs dimension-ascending
+    that span is already known.  Vectors stay integer-coded throughout.
+    """
+    spans: dict[tuple, list[int]] = {(): [0]}
+    masks = []
+    for s in subs:
+        if s.rows:
+            q, place = s.q, [s.q**i for i in range(s.ambient)]
+            rest = spans[s.rows[1:]]
+            codes = list(rest)
+            for a in range(1, q):
+                step = [(p, a * x) for p, x in zip(place, s.rows[0])]
+                for c in rest:
+                    codes.append(sum((c // p + ax) % q * p for p, ax in step))
+            spans[s.rows] = codes
+        mask = 0
+        for c in spans[s.rows]:
+            mask |= 1 << c
+        masks.append(mask)
+    return masks
+
+
+def subspace_name(sub: Subspace) -> str:
+    """Element name of a subspace in the projective lattice.
+
+    The text form for q <= 7; above that, entries may need several digits,
+    so a row's entries are comma-separated and rows are joined by '/'.
+    """
+    if sub.q <= 7:
+        return subspace_to_text(sub)
+    rows = sub.rows or ((0,) * sub.ambient,)
+    return "/".join(",".join(str(x) for x in row) for row in rows)
 
 
 def subspace_id(lat: Lattice, sub: Subspace) -> int:
     """Element id of a subspace inside a built projective lattice."""
-    return lat.name_to_id[subspace_to_text(sub)]
+    return lat.name_to_id[subspace_name(sub)]
 
 
 def _vec(code: int, n: int) -> tuple[int, ...]:

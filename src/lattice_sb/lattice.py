@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 DEFAULT_MAX_ELEMENTS = 128
@@ -62,13 +63,6 @@ def iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _iter_bits_desc(mask: int):
-    while mask:
-        b = mask.bit_length() - 1
-        yield b
-        mask ^= 1 << b
 
 
 class Lattice:
@@ -272,17 +266,18 @@ def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Latt
         succ[lo].append(hi)
         pred[hi].append(lo)
 
-    # Kahn topological order; detects cycles.
+    # Kahn topological order, smallest id first; detects cycles.  When the ids
+    # already are a linear extension, order is the identity.
     indeg = [len(pred[x]) for x in range(n)]
-    stack = sorted((x for x in range(n) if indeg[x] == 0), reverse=True)
+    ready = [x for x in range(n) if indeg[x] == 0]
     order: list[int] = []
-    while stack:
-        x = stack.pop()
+    while ready:
+        x = heappop(ready)
         order.append(x)
         for y in succ[x]:
             indeg[y] -= 1
             if indeg[y] == 0:
-                stack.append(y)
+                heappush(ready, y)
     if len(order) < n:
         raise LatticeError("cover relation contains a cycle")
 
@@ -321,36 +316,39 @@ def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Latt
         if x != bottom:
             heights[x] = max(heights[p] + 1 for p in lower[x])
 
-    canon = list(range(n))
+    # Up- and down-sets as masks over topological positions: an upper bound
+    # of a and b that is least must come first among them in any linear
+    # extension, and a greatest lower bound last.  So the join candidate is
+    # the lowest bit of the common up-set, the meet candidate the highest bit
+    # of the common down-set, and each is checked to really be least/greatest.
+    if order == list(range(n)):
+        pup, pdown = up, down
+    else:
+        pos = [0] * n
+        for i, x in enumerate(order):
+            pos[x] = i
+        pup = [sum(1 << pos[y] for y in iter_bits(up[x])) for x in range(n)]
+        pdown = [sum(1 << pos[y] for y in iter_bits(down[x])) for x in range(n)]
     join_table = [[0] * n for _ in range(n)]
     meet_table = [[0] * n for _ in range(n)]
     for a in range(n):
-        up_a, down_a = up[a], down[a]
+        up_a, down_a = pup[a], pdown[a]
         jr, mr = join_table[a], meet_table[a]
         for b in range(a, n):
-            ub = up_a & up[b]
-            j = -1
-            for c in iter_bits(ub):
-                if up[c] & ub == ub:
-                    j = c
-                    break
-            if j < 0:
+            ub = up_a & pup[b]
+            j = order[(ub & -ub).bit_length() - 1]
+            if pup[j] != ub:
                 raise NotALatticeError(
                     f"elements {names[a]!r} and {names[b]!r} have no least upper bound",
                     (names[a], names[b]),
                 )
-            lb = down_a & down[b]
-            m = -1
-            for c in _iter_bits_desc(lb):
-                if down[c] & lb == lb:
-                    m = c
-                    break
-            if m < 0:
+            lb = down_a & pdown[b]
+            m = order[lb.bit_length() - 1]
+            if pdown[m] != lb:
                 raise NotALatticeError(
                     f"elements {names[a]!r} and {names[b]!r} have no greatest lower bound",
                     (names[a], names[b]),
                 )
-            j, m = canon[j], canon[m]
             jr[b] = j
             join_table[b][a] = j
             mr[b] = m

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fq import (
     Subspace,
@@ -19,15 +18,14 @@ from .fq import (
     build_projective_lattice,
     rref,
     subspace_from_text,
-    subspace_to_text,
+    subspace_id,
 )
 from .lattice import Lattice, LatticeError
 
 CHOOSER_POLICIES = ("least", "random")
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(NamedTuple):
     lattice: Lattice
     members: frozenset
     min_dist: int | None  # None when fewer than two members
@@ -137,8 +135,7 @@ def lifting_transform(rows: Sequence[Sequence[int]], q: int) -> Subspace:
     return rref(lifted, m + n, q)
 
 
-@dataclass(frozen=True)
-class TransformWitness:
+class TransformWitness(NamedTuple):
     ok: bool
     injective: bool
     isometric: bool
@@ -227,7 +224,7 @@ def parse_scheme_text(text: str, as_code: bool = False, max_elements: int | None
                 sub = subspace_from_text(ln, n, q)
             except ValueError as e:
                 raise LatticeError(str(e)) from None
-            ids.add(lat.name_to_id[subspace_to_text(sub)])
+            ids.add(subspace_id(lat, sub))
         return make_scheme(lat, ids)
     n = len(lines[0])
     for ln in lines:

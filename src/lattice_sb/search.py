@@ -29,15 +29,14 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import kks_bound, puncture_budget
 from .lattice import Lattice, iter_bits, window_ids
 from .schemes import Scheme, make_scheme
 
 
-@dataclass(frozen=True)
-class SearchProblem:
+class SearchProblem(NamedTuple):
     lattice: Lattice
     d: int
     window: tuple[int, int] | None = None
@@ -45,8 +44,7 @@ class SearchProblem:
     budget_secs: float = 60.0
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     members: tuple[int, ...]  # lattice element ids, sorted
     best_size: int
     proven_optimal: bool
@@ -205,8 +203,7 @@ def greedy_code(lat: Lattice, d: int, seed: int | None = None, window=None) -> S
     return make_scheme(lat, chosen)
 
 
-@dataclass(frozen=True)
-class ProbeRow:
+class ProbeRow(NamedTuple):
     q: int
     n: int
     l: int

@@ -15,6 +15,7 @@ from lattice_sb import (
     gaussian,
     gv_lower,
     gv_lower_for_lattice,
+    gv_lower_values,
     kks_bound,
     log2_string,
     lsb,
@@ -193,6 +194,19 @@ def test_gv_lower_window(sub3):
     assert full >= 1
 
 
+@pytest.mark.parametrize("name", ["m3", "n5", "l2", "pow4", "sub3", "sub4"])
+def test_gv_lower_values_match_per_d(name, request):
+    lat = request.getfixturevalue(name)
+    top = lat.total_height()
+    ds = list(range(1, top + 3))
+    windows = [None] + [(lo, hi) for lo in range(top + 2) for hi in range(lo, top + 2)]
+    for window in windows:
+        assert gv_lower_values(lat, ds, window) == [gv_lower_for_lattice(lat, d, window) for d in ds]
+    assert gv_lower_values(lat, [3, 1, 3]) == [gv_lower_for_lattice(lat, d) for d in (3, 1, 3)]
+    with pytest.raises(ValueError):
+        gv_lower_values(lat, [2, 0])
+
+
 # --- report layer ----------------------------------------------------------------------
 
 
@@ -207,9 +221,7 @@ def test_log2_string():
 
 
 def test_render_report_csv():
-    r = BoundReport("powerset", None, 4, 3)
-    r.lsb_value = 4
-    r.gv_value = 2
+    r = BoundReport("powerset", None, 4, 3, lsb_value=4, gv_value=2)
     text = render_report_csv([r])
     lines = text.strip().split("\n")
     assert lines[0] == BOUND_CSV_HEADER
@@ -217,9 +229,7 @@ def test_render_report_csv():
 
 
 def test_render_report_csv_windowed():
-    r = BoundReport("projective", 2, 4, 4)
-    r.m, r.M = 2, 2
-    r.lsb_value = 7
+    r = BoundReport("projective", 2, 4, 4, m=2, M=2, lsb_value=7)
     text = render_report_csv([r])
     assert text.strip().split("\n")[1] == "projective,2,4,4,2,2,7,2.8074,,,"
 

@@ -6,7 +6,17 @@ import sys
 
 import pytest
 
-from lattice_sb import build_powerset_lattice, to_json
+from lattice_sb import (
+    BoundReport,
+    CapExceeded,
+    build_powerset_lattice,
+    gv_lower,
+    lsb,
+    puncture_budget,
+    render_report_csv,
+    to_json,
+)
+from lattice_sb import fq
 from lattice_sb.cli import main
 
 
@@ -174,6 +184,58 @@ def test_bounds_rejects_inverted_window(capsys, tmp_path):
     code, _, err = run(capsys, "bounds", "--lattice", str(path), "-d", "2", "--window", "3", "1")
     assert code == 2
     assert "window" in err
+
+
+def test_bounds_builds_each_projective_lattice_once(capsys, monkeypatch):
+    """One build per n, with the CSV each row would get from its own gv_lower;
+    Sub(F_2^5) is over the cap, so its gv_lower cells stay blank."""
+    cap = 100
+    rows = []
+    for n in range(2, 6):
+        for d in range(2, 7):
+            if puncture_budget(d, False) > n:
+                continue
+            try:
+                gv = gv_lower("projective", n, d, 2, cap)
+            except CapExceeded:
+                gv = None
+            value = lsb("projective", n, d, 2)
+            rows.append(BoundReport("projective", 2, n, d, lsb_value=value, gv_value=gv))
+    want = render_report_csv(rows)
+    assert want.endswith("\nprojective,2,5,6,,,16,4.0000,,,\n")
+
+    built = []
+    real = fq.build_projective_lattice
+
+    def counting(n, q, max_elements=None):
+        built.append(n)
+        return real(n, q, max_elements)
+
+    monkeypatch.setattr(fq, "build_projective_lattice", counting)
+    code, out, _ = run(capsys, "bounds", "--projective", "-q", "2", "--n-min", "2", "--n-max", "5",
+                       "--d-min", "2", "--d-max", "6", "--max-elements", str(cap))
+    assert code == 0
+    assert out == want
+    assert built == [2, 3, 4, 5]
+
+
+def test_projective_commands_above_q7(capsys):
+    code, out, _ = run(capsys, "check", "--projective", "-n", "1", "-q", "11")
+    assert code == 0
+    assert "elements: 2\n" in out and "whitney: 1,1\n" in out
+    code, out, _ = run(capsys, "check", "--projective", "-n", "2", "-q", "11")
+    assert code == 0
+    assert "whitney: 1,12,1\n" in out and "modular: true\n" in out
+    code, out, _ = run(capsys, "bounds", "--projective", "-q", "11", "-n", "2", "-d", "2")
+    assert code == 0
+    # 14 elements; the largest radius-1 ball (around the bottom or the top) has 13.
+    assert out.split("\n")[1] == "projective,11,2,2,,,14,3.8074,2,1.0000,"
+    code, out, _ = run(capsys, "search", "--projective", "-n", "2", "-q", "11", "-d", "2",
+                       "--window", "1", "1")
+    assert code == 0
+    res = json.loads(out)
+    assert res["best_size"] == 12 and res["sandwich"] == "PASS"
+    assert res["scheme"][:2] == ["1,0", "1,1"] and res["scheme"][-1] == "0,1"
 
 
 def test_bounds_needs_family(capsys):
@@ -416,6 +478,19 @@ def test_export_dot_to_file(capsys, tmp_path):
 
 
 # --- module entry --------------------------------------------------------------------
+
+
+def test_cli_import_skips_dataclasses():
+    """The command line's import graph stays free of dataclasses and inspect,
+    which cost start-up time in every process."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, lattice_sb.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_python_dash_m_entry():

@@ -190,6 +190,8 @@ def test_text_rejects_bad_digits():
         subspace_from_text("10", 3, 2)
     with pytest.raises(ValueError):
         subspace_to_text(zero_subspace(2, 11))
+    with pytest.raises(ValueError, match="q <= 7"):
+        subspace_from_text("10", 2, 11)
 
 
 # --- lattice builders ----------------------------------------------------------------
