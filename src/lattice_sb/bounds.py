@@ -1,4 +1,4 @@
-"""Singleton-type bounds for lattice schemes, ball volumes, GV-type lower bounds.
+"""Singleton-type upper bounds and GV-type lower bounds for lattice schemes.
 
 All bound values are exact integers.  The family variants (power-set,
 projective) use closed-form Whitney sums and never materialize a lattice;
@@ -34,15 +34,27 @@ def _check_family(family: str, q: int | None):
         raise ValueError("projective family needs q")
 
 
+def _budget(d: int, distributive: bool, height: int, window: tuple[int, int] | None = None) -> int:
+    """alpha for a lattice of this height, after checking that the window
+    fits and that alpha punctures leave a lattice."""
+    if window is not None and not 0 <= window[0] <= window[1] <= height:
+        raise ValueError("need 0 <= m <= M <= n")
+    a = puncture_budget(d, distributive)
+    if a > height:
+        raise ValueError(f"puncture budget {a} exceeds lattice height {height}")
+    return a
+
+
+class NotModularError(ValueError):
+    """The Singleton-type bound was asked of a lattice that is not modular."""
+
+
 def lsb(family: str, n: int, d: int, q: int | None = None) -> int:
     """Scheme size bound: total element count of the alpha-times punctured lattice."""
     _check_family(family, q)
     if n < 0:
         raise ValueError("n must be >= 0")
-    a = puncture_budget(d, family == "powerset")
-    if a > n:
-        raise ValueError(f"puncture budget {a} exceeds lattice height {n}")
-    np = n - a
+    np = n - _budget(d, family == "powerset", n)
     return sum(whitney_closed_form(family, np, k, q) for k in range(np + 1))
 
 
@@ -57,34 +69,37 @@ def lsb_windowed(family: str, n: int, d: int, m: int, M: int, q: int | None = No
     A(n, 2*delta, w) <= C(n-delta+1, w-delta+1).
     """
     _check_family(family, q)
-    if not 0 <= m <= M <= n:
-        raise ValueError("need 0 <= m <= M <= n")
-    a = puncture_budget(d, False)
-    if a > n:
-        raise ValueError(f"puncture budget {a} exceeds lattice height {n}")
+    a = _budget(d, False, n, (m, M))
     np = n - a
     lo = max(0, m - a)
     hi = M - a
     return sum(whitney_closed_form(family, np, k, q) for k in range(lo, hi + 1))
 
 
-def lsb_for_lattice(lat: Lattice, d: int) -> int:
+def lsb_for_lattice(lat: Lattice, d: int, window: tuple[int, int] | None = None) -> int:
     """The bound on an explicit modular lattice, by puncturing.
 
     Repeats alpha times: pass to the principal ideal of the least-id coatom.
     The coatoms of the ideal below w are the lower covers of w, so this walks
     down from the top one height at a time.  The result is the element count
-    of the final ideal.
+    of the final ideal.  With a window [m, M] it is the lsb_windowed bound:
+    alpha = floor((d-1)/2) punctures (puncture-project), counting only the
+    heights [max(0, m-alpha), M-alpha].  Raises NotModularError when the
+    lattice is not modular.
     """
     if not lat.is_modular():
-        raise ValueError("the bound requires a modular lattice")
-    a = puncture_budget(d, lat.is_distributive())
-    if a > lat.total_height():
-        raise ValueError(f"puncture budget {a} exceeds lattice height {lat.total_height()}")
+        raise NotModularError("the bound requires a modular lattice")
+    top = lat.total_height()
+    if window is None:
+        a = _budget(d, lat.is_distributive(), top)
+        lo, hi = 0, top
+    else:
+        a = _budget(d, False, top, window)
+        lo, hi = max(0, window[0] - a), window[1] - a
     w = lat.top
     for _ in range(a):
         w = min(y for y in lat.downset(w) if lat.heights[y] == lat.heights[w] - 1)
-    return len(lat.downset(w))
+    return sum(1 for y in lat.downset(w) if lo <= lat.heights[y] <= hi)
 
 
 def classical_singleton(n: int, d: int) -> int:
@@ -119,41 +134,19 @@ def projective_singleton(n: int, d: int, q: int) -> int:
 # --- volumes and the GV-type lower bound -------------------------------------
 
 
-def ball_volume(lat: Lattice, center: int, radius: int, within=None) -> int:
-    """Number of elements at distance <= radius from center.
-
-    Center-dependent in general (projective balls differ by height), which is
-    why the lattice variants below take a max over centers.
-    """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    ids = within if within is not None else range(len(lat))
-    return sum(1 for x in ids if lat.distance(center, x) <= radius)
-
-
-def max_ball_volume(lat: Lattice, radius: int, within=None) -> int:
-    ids = list(within) if within is not None else list(range(len(lat)))
-    return max(ball_volume(lat, c, radius, ids) for c in ids)
-
-
 def gv_lower_for_lattice(lat: Lattice, d: int, window: tuple[int, int] | None = None) -> int:
     """ceil(|space| / max ball volume(d-1)); any maximal packing reaches it."""
-    if d < 1:
-        raise ValueError("minimum distance must be >= 1")
-    ids = window_ids(lat, window)
-    if not ids:
-        return 0
-    vol = max_ball_volume(lat, d - 1, ids)
-    return -(-len(ids) // vol)
+    return gv_lower_values(lat, [d], window)[0]
 
 
 def gv_lower_values(lat: Lattice, d_values, window: tuple[int, int] | None = None) -> list[int]:
-    """gv_lower_for_lattice(lat, d, window) for each d in d_values, in one pass.
+    """ceil(|window| / largest ball of radius d-1) for each d in d_values.
 
-    Each pair of window elements is measured once into a per-centre histogram
-    of distances; the ball volume of radius r around a centre is a prefix sum
-    of its histogram, and the bound for d takes the maximum over centres at
-    r = d - 1.
+    Balls and centres lie in the window.  Balls depend on the centre
+    (projective balls differ by height), so every centre is measured: each
+    pair of window elements goes once into a per-centre histogram of
+    distances, the ball of radius r around a centre is a prefix sum of its
+    histogram, and the bound for d takes the largest such ball at r = d - 1.
     """
     if any(d < 1 for d in d_values):
         raise ValueError("minimum distance must be >= 1")

@@ -55,29 +55,22 @@ def _add_source(p: argparse.ArgumentParser):
                    help="materialization cap override (also LATTICE_SB_MAX_ELEMENTS)")
 
 
-def _resolve_source(args) -> tuple[lt.Lattice, str | None, int | None, int | None]:
-    """(lattice, family, q, n); family, q and n are None outside the families."""
+def _resolve_source(args) -> lt.Lattice:
     picked = [s for s in ("name", "powerset", "projective", "lattice") if getattr(args, s) is not None]
     if len(picked) != 1:
         raise lt.LatticeError("pick exactly one of --name, --powerset, --projective, --lattice")
     if args.name is not None:
-        return fq.build_named_lattice(args.name, args.max_elements), None, None, None
+        return fq.build_named_lattice(args.name, args.max_elements)
     if args.powerset is not None:
         bare = args.powerset is True  # N comes from -n
         if bare == (args.n is None):
             raise lt.LatticeError("give N once: --powerset N or --powerset -n N")
-        n = args.n if bare else args.powerset
-        return fq.build_powerset_lattice(n, args.max_elements), "powerset", None, n
+        return fq.build_powerset_lattice(args.n if bare else args.powerset, args.max_elements)
     if args.projective:
         if args.n is None:
             raise lt.LatticeError("--projective needs -n")
-        return (
-            fq.build_projective_lattice(args.n, args.q, args.max_elements),
-            "projective",
-            args.q,
-            args.n,
-        )
-    return _load_json(args), None, None, None
+        return fq.build_projective_lattice(args.n, args.q, args.max_elements)
+    return _load_json(args)
 
 
 def _load_json(args) -> lt.Lattice:
@@ -88,7 +81,7 @@ def _load_json(args) -> lt.Lattice:
 
 
 def cmd_check(args) -> int:
-    lat = _resolve_source(args)[0]
+    lat = _resolve_source(args)
     info = lt.classify(lat)
     lines = [
         f"elements: {info['elements']}",
@@ -126,8 +119,8 @@ def cmd_bounds(args) -> int:
 
     if args.lattice:
         lat = _load_json(args)
-        lsbs = [bnd.lsb_for_lattice(lat, d) for d in d_values]
         gvs = bnd.gv_lower_values(lat, d_values, window)
+        lsbs = [bnd.lsb_for_lattice(lat, d, window) for d in d_values]
         for d, value, gv in zip(d_values, lsbs, gvs):
             reports.append(bnd.BoundReport("lattice", None, lat.total_height(), d, m, M, value, gv))
         _emit(bnd.render_report_csv(reports), args.output)
@@ -144,7 +137,7 @@ def cmd_bounds(args) -> int:
     for n in n_values:
         rows = []  # (d, lsb value) of the rows kept for this n
         for d in d_values:
-            a = bnd.puncture_budget(d, family == "powerset")
+            a = bnd.puncture_budget(d, family == "powerset" and not window)
             if a > n:
                 print(f"warning: skipping n={n} d={d} (puncture budget {a} > n)", file=sys.stderr)
                 continue
@@ -160,19 +153,30 @@ def cmd_bounds(args) -> int:
                 rows.append((d, bnd.lsb(family, n, d, q)))
         if not rows:
             continue
-        ds = [d for d, _ in rows]
-        if family == "powerset":
-            gvs = [bnd.gv_lower(family, n, d) for d in ds]
-        else:
-            # One lattice, and one pass over its pairs, for every d of this n.
-            try:
-                gvs = bnd.gv_lower_values(fq.build_projective_lattice(n, q, args.max_elements), ds)
-            except lt.CapExceeded:
-                gvs = [None] * len(ds)
+        gvs = _family_gv(family, q, n, [d for d, _ in rows], window, args.max_elements)
         for (d, value), gv in zip(rows, gvs):
             reports.append(bnd.BoundReport(family, q, n, d, m, M, value, gv))
     _emit(bnd.render_report_csv(reports), args.output)
     return EXIT_OK
+
+
+def _family_gv(family: str, q: int | None, n: int, d_values, window, max_elements) -> list[int | None]:
+    """The GV cells of one n of a family table, None above the element cap.
+
+    One lattice, and one pass over its pairs, serves every d.  Only the
+    unwindowed power-set cells take the Hamming closed form, which needs no
+    lattice: Hamming balls do not depend on the centre.
+    """
+    if family == "powerset" and window is None:
+        return [bnd.gv_lower(family, n, d) for d in d_values]
+    try:
+        if family == "powerset":
+            lat = fq.build_powerset_lattice(n, max_elements)
+        else:
+            lat = fq.build_projective_lattice(n, q, max_elements)
+    except lt.CapExceeded:
+        return [None] * len(d_values)
+    return bnd.gv_lower_values(lat, d_values, window)
 
 
 # --- fig5 ----------------------------------------------------------------------
@@ -200,12 +204,8 @@ def fig5_rows(q: int, d: int, n_lo: int, n_hi: int, max_elements: int | None = N
     """(n, bound, gv-or-None) rows; gv only where the lattice is materializable."""
     rows = []
     for n in range(n_lo, n_hi + 1):
-        bound = bnd.lsb("projective", n, d, q)
-        try:
-            gv = bnd.gv_lower("projective", n, d, q, max_elements)
-        except lt.CapExceeded:
-            gv = None
-        rows.append((n, bound, gv))
+        gv = _family_gv("projective", q, n, [d], None, max_elements)[0]
+        rows.append((n, bnd.lsb("projective", n, d, q), gv))
     return rows
 
 
@@ -267,20 +267,6 @@ def cmd_fig5(args) -> int:
 # --- scheme --------------------------------------------------------------------
 
 
-def _parse_w(text: str, w_desc: str, lat: lt.Lattice):
-    """Resolve the puncturing element in the scheme file's lattice."""
-    first = next(ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#"))
-    m = sch._HEADER_RE.match(first)
-    if m:
-        q, n = int(m.group(1)), int(m.group(2))
-        sub = fq.subspace_from_text(w_desc, n, q)
-        return fq.subspace_id(lat, sub)
-    n = len(first)
-    if len(w_desc) != n or any(ch not in "01" for ch in w_desc):
-        raise lt.LatticeError(f"puncturing element {w_desc!r} must be {n} binary digits")
-    return sch.support_transform([int(ch) for ch in w_desc])
-
-
 def cmd_scheme(args) -> int:
     text = _read(args.file)
     s = sch.parse_scheme_text(text, as_code=args.as_code, max_elements=args.max_elements)
@@ -296,7 +282,7 @@ def cmd_scheme(args) -> int:
 
     if args.w is None:
         raise lt.LatticeError(f"{args.action} needs --w")
-    w = _parse_w(text, args.w, s.lattice)
+    w = sch.parse_element(text, args.w, s.lattice)
     if args.action == "puncture":
         after = sch.puncture(s, w)
     else:
@@ -322,19 +308,16 @@ def _num(v) -> str:
 
 
 def cmd_search(args) -> int:
-    lat, family, q, n = _resolve_source(args)
+    lat = _resolve_source(args)
     window = tuple(args.window) if args.window else None
     problem = srch.SearchProblem(lat, args.d, window, args.budget_nodes, args.budget_secs)
     res = srch.max_code(problem)
 
     lower = bnd.gv_lower_for_lattice(lat, args.d, window)
-    if family is not None:
-        if window:
-            upper = bnd.lsb_windowed(family, n, args.d, window[0], window[1], q)
-        else:
-            upper = bnd.lsb(family, n, args.d, q)
-    else:
-        upper = bnd.lsb_for_lattice(lat, args.d) if lat.is_modular() else None
+    try:
+        upper = bnd.lsb_for_lattice(lat, args.d, window)
+    except bnd.NotModularError:
+        upper = None
     if upper is None:
         sandwich = "SKIPPED (non-modular lattice)"
     elif res.best_size > upper:
@@ -361,7 +344,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    lat = _resolve_source(args)[0]
+    lat = _resolve_source(args)
     _emit(lt.to_dot(lat), args.output)
     return EXIT_OK
 

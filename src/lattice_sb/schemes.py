@@ -197,6 +197,19 @@ def verify_transform(codewords, code_distance: Callable, transform: Callable, la
 _HEADER_RE = re.compile(r"q=(\d+)\s+n=(\d+)$")
 
 
+def _scheme_lines(text: str) -> tuple[list[str], tuple[int, int] | None]:
+    """The member lines of a scheme file and its (q, n) header, or None for
+    a power-set file, which has no header."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise LatticeError("empty scheme file")
+    m = _HEADER_RE.match(lines[0])
+    if m is None:
+        return lines, None
+    return lines[1:], (int(m.group(1)), int(m.group(2)))
+
+
 def parse_scheme_text(text: str, as_code: bool = False, max_elements: int | None = None) -> Scheme:
     """Parse a scheme file.
 
@@ -206,20 +219,16 @@ def parse_scheme_text(text: str, as_code: bool = False, max_elements: int | None
     element (the support of the characteristic vector), so `as_code` changes
     the reading, not the result; it is rejected for projective files.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise LatticeError("empty scheme file")
-    m = _HEADER_RE.match(lines[0])
-    if m:
+    lines, header = _scheme_lines(text)
+    if header:
         if as_code:
             raise LatticeError("--as-code applies to binary vector files only")
-        q, n = int(m.group(1)), int(m.group(2))
-        if not lines[1:]:
+        q, n = header
+        if not lines:
             raise LatticeError("projective scheme file has no members")
         lat = build_projective_lattice(n, q, max_elements)
         ids = set()
-        for ln in lines[1:]:
+        for ln in lines:
             try:
                 sub = subspace_from_text(ln, n, q)
             except ValueError as e:
@@ -233,6 +242,20 @@ def parse_scheme_text(text: str, as_code: bool = False, max_elements: int | None
     lat = build_powerset_lattice(n, max_elements)
     ids = {support_transform([int(ch) for ch in ln]) for ln in lines}
     return make_scheme(lat, ids)
+
+
+def parse_element(text: str, w_desc: str, lat: Lattice) -> int:
+    """The id in lat of an element written in the notation of scheme file
+    `text`: subspace rows for a projective file, a binary string as wide as
+    the lines of a power-set file."""
+    lines, header = _scheme_lines(text)
+    if header:
+        q, n = header
+        return subspace_id(lat, subspace_from_text(w_desc, n, q))
+    n = len(lines[0])
+    if len(w_desc) != n or any(ch not in "01" for ch in w_desc):
+        raise LatticeError(f"puncturing element {w_desc!r} must be {n} binary digits")
+    return support_transform([int(ch) for ch in w_desc])
 
 
 def scheme_to_text(s: Scheme, kind: str, q: int | None = None, n: int | None = None) -> str:

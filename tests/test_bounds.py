@@ -8,9 +8,9 @@ from lattice_sb import (
     BOUND_CSV_HEADER,
     BoundReport,
     SearchProblem,
-    ball_volume,
     build_named_lattice,
     build_powerset_lattice,
+    build_projective_lattice,
     classical_singleton,
     gaussian,
     gv_lower,
@@ -21,13 +21,35 @@ from lattice_sb import (
     lsb,
     lsb_for_lattice,
     lsb_windowed,
-    max_ball_volume,
     max_code,
     projective_singleton,
     puncture_budget,
     render_report_csv,
 )
 from lattice_sb.bounds import kks_degenerate
+
+
+# --- reference: the GV-type bound by a per-centre ball scan ---------------------------
+
+
+def ball_volume(lat, center, radius, within=None):
+    """Number of elements of `within` (default: all) at distance <= radius from center."""
+    ids = within if within is not None else range(len(lat))
+    return sum(1 for x in ids if lat.distance(center, x) <= radius)
+
+
+def max_ball_volume(lat, radius, within=None):
+    ids = list(within) if within is not None else list(range(len(lat)))
+    return max(ball_volume(lat, c, radius, ids) for c in ids)
+
+
+def ref_gv_lower(lat, d, window=None):
+    """ceil(|window| / largest ball of radius d-1), scanning every centre."""
+    lo, hi = window if window else (0, lat.total_height())
+    ids = [x for x in range(len(lat)) if lo <= lat.heights[x] <= hi]
+    if not ids:
+        return 0
+    return -(-len(ids) // max_ball_volume(lat, d - 1, ids))
 
 
 # --- puncture budget ----------------------------------------------------------------
@@ -106,6 +128,50 @@ def test_lsb_for_lattice_matches_closed_form_sub4(sub4):
 def test_lsb_for_lattice_requires_modular(n5):
     with pytest.raises(ValueError, match="modular"):
         lsb_for_lattice(n5, 2)
+    with pytest.raises(ValueError, match="modular"):
+        lsb_for_lattice(n5, 2, (1, 1))
+
+
+FAMILY_LATTICES = (
+    [("powerset", n, None, build_powerset_lattice(n)) for n in range(7)]
+    + [("projective", n, 2, build_projective_lattice(n, 2)) for n in range(1, 5)]
+    + [("projective", n, 3, build_projective_lattice(n, 3)) for n in range(1, 4)]
+)
+FAMILY_IDS = [f"{family}-{n}-{q}" for family, n, q, _ in FAMILY_LATTICES]
+
+
+@pytest.mark.parametrize("family,n,q,lat", FAMILY_LATTICES, ids=FAMILY_IDS)
+def test_lsb_for_lattice_window_equals_closed_form(family, n, q, lat):
+    # puncture-project on the explicit lattice against the Whitney sum
+    for d in range(1, 2 * n + 3):
+        for m, M in itertools.combinations_with_replacement(range(n + 1), 2):
+            try:
+                want = lsb_windowed(family, n, d, m, M, q)
+            except ValueError:
+                with pytest.raises(ValueError, match="exceeds lattice height"):
+                    lsb_for_lattice(lat, d, (m, M))
+                continue
+            assert lsb_for_lattice(lat, d, (m, M)) == want, (d, m, M)
+
+
+@pytest.mark.parametrize("family,n,q,lat", FAMILY_LATTICES, ids=FAMILY_IDS)
+def test_lsb_for_lattice_equals_lsb(family, n, q, lat):
+    # Sub(F_q^1) is a 2-chain, distributive, so it takes the power-set budget
+    like = family if n >= 2 else "powerset"
+    for d in range(1, 2 * n + 3):
+        try:
+            want = lsb(like, n, d, q)
+        except ValueError:
+            with pytest.raises(ValueError, match="exceeds lattice height"):
+                lsb_for_lattice(lat, d)
+            continue
+        assert lsb_for_lattice(lat, d) == want, d
+
+
+def test_lsb_for_lattice_rejects_bad_window(sub3):
+    for window in ((2, 1), (0, 4), (-1, 2)):
+        with pytest.raises(ValueError, match=r"need 0 <= m <= M <= n"):
+            lsb_for_lattice(sub3, 2, window)
 
 
 def test_classical_singleton():
@@ -146,11 +212,14 @@ def test_ball_volume_depends_on_center(sub2):
     assert ball_volume(sub2, line, 1) == 3
     assert ball_volume(sub2, sub2.bottom, 1) == 4
     assert max_ball_volume(sub2, 1) == 4
+    # the bound divides by the largest ball, not by the line's
+    assert gv_lower_for_lattice(sub2, 2) == ref_gv_lower(sub2, 2) == -(-5 // 4)
 
 
 def test_ball_volume_radius_zero(sub2):
     for x in range(len(sub2)):
         assert ball_volume(sub2, x, 0) == 1
+    assert gv_lower_for_lattice(sub2, 1) == ref_gv_lower(sub2, 1) == len(sub2)
 
 
 def test_ball_volume_window(sub3):
@@ -159,6 +228,7 @@ def test_ball_volume_window(sub3):
     for a in within:
         # radius-2 ball inside the atom layer: atoms at distance exactly 2
         assert ball_volume(sub3, a, 2, within) == 7
+    assert gv_lower_for_lattice(sub3, 3, (1, 1)) == ref_gv_lower(sub3, 3, (1, 1)) == 1
 
 
 def test_gv_lower_values(pow4):
@@ -175,7 +245,7 @@ def test_gv_lower_projective_sub4(sub4):
     # the radius-1 ball is largest at the ends: bottom plus all 15 atoms
     assert ball_volume(sub4, sub4.bottom, 1) == 16
     assert max_ball_volume(sub4, 1) == 16
-    assert gv_lower("projective", 4, 2, 2) == -(-67 // 16) == 5
+    assert gv_lower("projective", 4, 2, 2) == ref_gv_lower(sub4, 2) == -(-67 // 16) == 5
 
 
 def test_gv_lower_projective_cap():
@@ -201,8 +271,10 @@ def test_gv_lower_values_match_per_d(name, request):
     ds = list(range(1, top + 3))
     windows = [None] + [(lo, hi) for lo in range(top + 2) for hi in range(lo, top + 2)]
     for window in windows:
-        assert gv_lower_values(lat, ds, window) == [gv_lower_for_lattice(lat, d, window) for d in ds]
-    assert gv_lower_values(lat, [3, 1, 3]) == [gv_lower_for_lattice(lat, d) for d in (3, 1, 3)]
+        want = [ref_gv_lower(lat, d, window) for d in ds]
+        assert gv_lower_values(lat, ds, window) == want, window
+        assert [gv_lower_for_lattice(lat, d, window) for d in ds] == want, window
+    assert gv_lower_values(lat, [3, 1, 3]) == [ref_gv_lower(lat, d) for d in (3, 1, 3)]
     with pytest.raises(ValueError):
         gv_lower_values(lat, [2, 0])
 

@@ -6,15 +6,18 @@ import json
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lattice_sb import (
+    SearchProblem,
     build_lattice,
     build_named_lattice,
     build_powerset_lattice,
     build_projective_lattice,
     from_json,
+    gv_lower_for_lattice,
     lsb_for_lattice,
+    max_code,
     puncture_budget,
     sublattice_closure,
 )
@@ -214,3 +217,31 @@ def test_lsb_for_lattice_matches_materialized_puncturing(lat):
                 lsb_for_lattice(lat, d)
             continue
         assert lsb_for_lattice(lat, d) == want, d
+
+
+# --- the bound sandwiches the optimum ------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattices)
+@example(build_named_lattice("M3"))
+@example(build_named_lattice("L1"))
+@example(build_named_lattice("L2"))
+@example(build_powerset_lattice(4))
+@example(build_projective_lattice(3, 2))
+@example(build_projective_lattice(2, 3))
+def test_gv_max_code_lsb_sandwich(lat):
+    """gv <= max_code <= lsb_for_lattice for every d, without a window and on
+    every window that is not degenerate (M - alpha >= 0)."""
+    assume(lat.is_modular())
+    top = lat.total_height()
+    windows = [None] + list(itertools.combinations_with_replacement(range(top + 1), 2))
+    for d in range(1, 2 * top + 2):
+        for window in windows:
+            a = puncture_budget(d, window is None and lat.is_distributive())
+            if a > top or (window is not None and window[1] - a < 0):
+                continue
+            upper = lsb_for_lattice(lat, d, window)
+            res = max_code(SearchProblem(lat, d, window))
+            assert res.proven_optimal
+            assert gv_lower_for_lattice(lat, d, window) <= res.best_size <= upper, (d, window)

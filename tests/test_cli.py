@@ -250,6 +250,63 @@ def test_bounds_rejects_conflicting_d(capsys):
     assert code == 2
 
 
+def bounds_row(capsys, *argv):
+    """The single CSV row of a bounds command, as a dict of its cells."""
+    code, out, _ = run(capsys, "bounds", *argv)
+    assert code == 0
+    header, row = out.strip().split("\n")
+    return dict(zip(header.split(","), row.split(",")))
+
+
+@pytest.mark.parametrize("source", [("--powerset", "-n", "5", "-d", "3"),
+                                    ("--projective", "-n", "4", "-d", "4")])
+def test_bounds_window_applies_to_family_gv(capsys, source):
+    # two atoms are at distance 2, so the best scheme in height 1 is one atom
+    row = bounds_row(capsys, *source, "--window", "1", "1")
+    assert (row["lsb"], row["gv_lower"]) == ("1", "1")
+
+
+def test_bounds_windowed_powerset_row_takes_windowed_budget(capsys):
+    # with a window the power set is punctured floor((d-1)/2) = 2 times, not d-1 = 4
+    row = bounds_row(capsys, "--powerset", "-n", "3", "-d", "5", "--window", "2", "3")
+    assert (row["lsb"], row["gv_lower"]) == ("2", "1")
+
+
+def test_bounds_window_blanks_family_gv_over_cap(capsys):
+    # a windowed power-set cell needs 2^[8], which is over the default cap
+    row = bounds_row(capsys, "--powerset", "-n", "8", "-d", "3", "--window", "1", "1")
+    assert (row["lsb"], row["gv_lower"]) == ("1", "")
+
+
+def test_bounds_window_applies_to_lattice_lsb(capsys, tmp_path):
+    path = tmp_path / "p5.json"
+    path.write_text(to_json(build_powerset_lattice(5)))
+    row = bounds_row(capsys, "--lattice", str(path), "-d", "3", "--window", "1", "1")
+    assert (row["lsb"], row["gv_lower"]) == ("1", "1")
+    code, out, _ = run(capsys, "search", "--lattice", str(path), "-d", "3", "--window", "1", "1")
+    assert code == 0
+    assert json.loads(out)["bound"] == 1
+
+
+@pytest.mark.parametrize("source", [("--powerset", "-n", "5"), ("--projective", "-n", "4"),
+                                    ("--lattice", "sub3.json")])
+def test_bounds_windowed_rows_are_consistent(capsys, tmp_path, monkeypatch, source):
+    """gv_lower <= lsb on every row whose window is not degenerate (M - alpha >= 0)."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub3.json").write_text(to_json(fq.build_projective_lattice(3, 2)))
+    top = 3 if source[0] == "--lattice" else int(source[2])
+    for m in range(top + 1):
+        for M in range(m, top + 1):
+            code, out, _ = run(capsys, "bounds", *source, "--d-min", "1", "--d-max", "5",
+                               "--window", str(m), str(M))
+            assert code == 0
+            for line in out.strip().split("\n")[1:]:
+                cells = line.split(",")
+                d, lsb_v, gv = int(cells[3]), int(cells[6]), int(cells[8])
+                if M - puncture_budget(d, False) >= 0:
+                    assert gv <= lsb_v, line
+
+
 # --- fig5 ----------------------------------------------------------------------------
 
 
@@ -418,7 +475,7 @@ def test_search_budget_stop_skips_sandwich(capsys, monkeypatch):
     assert obj["proven_optimal"] is False
     assert obj["sandwich"] == "SKIPPED (search not proven)"
     # a best size above the upper bound is a bug whatever the budget
-    monkeypatch.setattr("lattice_sb.bounds.lsb_windowed", lambda *a: obj["best_size"] - 1)
+    monkeypatch.setattr("lattice_sb.bounds.lsb_for_lattice", lambda *a: obj["best_size"] - 1)
     code, out, _ = run(capsys, *argv)
     assert code == 3
     assert json.loads(out)["sandwich"] == "FAIL"
@@ -438,6 +495,30 @@ def test_search_named_lattice(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["sandwich"].startswith("SKIPPED")
+
+
+def test_search_named_window_bound(capsys):
+    code, out, _ = run(capsys, "search", "--name", "M3", "-d", "2", "--window", "1", "1")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["best_size"], obj["bound"], obj["sandwich"]) == (3, 3, "PASS")
+
+
+def test_search_rejects_window_above_height(capsys):
+    code, out, err = run(capsys, "search", "--projective", "-n", "4", "-d", "4",
+                         "--window", "2", "9")
+    assert code == 2 and out == ""
+    assert "need 0 <= m <= M <= n" in err
+
+
+def test_search_projective_line_is_a_chain(capsys):
+    # Sub(F_q^1) is a 2-chain: distributive, so d - 1 punctures
+    code, out, _ = run(capsys, "search", "--projective", "-n", "1", "-d", "2")
+    assert code == 0
+    assert json.loads(out)["bound"] == 1
+    code, _, err = run(capsys, "search", "--projective", "-n", "1", "-d", "3")
+    assert code == 2
+    assert "exceeds lattice height" in err
 
 
 def test_search_powerset_window_sandwich(capsys):
