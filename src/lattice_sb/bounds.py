@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .counting import FAMILIES, binomial, gaussian, whitney_closed_form
+from .counting import FAMILIES, binomial, whitney_closed_form
 from .lattice import Lattice, window_ids
 
 
@@ -34,46 +34,51 @@ def _check_family(family: str, q: int | None):
         raise ValueError("projective family needs q")
 
 
-def _budget(d: int, distributive: bool, height: int, window: tuple[int, int] | None = None) -> int:
-    """alpha for a lattice of this height, after checking that the window
-    fits and that alpha punctures leave a lattice."""
+def _budget(d: int, distributive: bool, height: int, window: tuple[int, int] | None = None):
+    """(alpha, lo, hi): the punctures the bound takes and the heights it counts.
+
+    Without a window, alpha = puncture_budget(d, distributive) and the count
+    covers the whole punctured lattice, heights [0, height - alpha].  A window
+    [m, M] needs puncture-project, which lowers every member by exactly one
+    height and the distance by at most 2, so alpha = floor((d-1)/2) on every
+    lattice and the count covers [max(0, m - alpha), max(0, M - alpha)].
+    Clipping at 0 gives a window with M < alpha the bound 1, its exact
+    optimum: on a modular lattice two members of height <= M lie at
+    distance <= 2M < d.
+    Raises ValueError unless 0 <= m <= M <= height and alpha <= height.
+    """
     if window is not None and not 0 <= window[0] <= window[1] <= height:
         raise ValueError("need 0 <= m <= M <= n")
-    a = puncture_budget(d, distributive)
+    a = puncture_budget(d, distributive and window is None)
     if a > height:
         raise ValueError(f"puncture budget {a} exceeds lattice height {height}")
-    return a
+    if window is None:
+        return a, 0, height - a
+    return a, max(0, window[0] - a), max(0, window[1] - a)
 
 
 class NotModularError(ValueError):
     """The Singleton-type bound was asked of a lattice that is not modular."""
 
 
-def lsb(family: str, n: int, d: int, q: int | None = None) -> int:
-    """Scheme size bound: total element count of the alpha-times punctured lattice."""
+def lsb(family: str, n: int, d: int, q: int | None = None, window: tuple[int, int] | None = None) -> int:
+    """Scheme size bound: the Whitney numbers of the alpha-times punctured
+    lattice, summed over the heights that _budget counts.
+
+    Without a window this is the element count of the punctured lattice.
+    With a window [m, M] on the power set it is the constant-weight Singleton
+    bound A(n, 2*delta, w) <= C(n-delta+1, w-delta+1).
+    """
     _check_family(family, q)
     if n < 0:
         raise ValueError("n must be >= 0")
-    np = n - _budget(d, family == "powerset", n)
-    return sum(whitney_closed_form(family, np, k, q) for k in range(np + 1))
+    a, lo, hi = _budget(d, family == "powerset", n, window)
+    return sum(whitney_closed_form(family, n - a, k, q) for k in range(lo, hi + 1))
 
 
 def lsb_windowed(family: str, n: int, d: int, m: int, M: int, q: int | None = None) -> int:
-    """Tighter bound for schemes confined to heights [m, M].
-
-    Sums Whitney numbers of the punctured lattice for k in [m-alpha, M-alpha],
-    clipped at 0 below; the formula value is reported verbatim.  The shifted
-    window needs puncture-project, which lowers every member by exactly one
-    height and the distance by at most 2, so alpha = floor((d-1)/2) for both
-    families.  On the power set this is the constant-weight Singleton bound
-    A(n, 2*delta, w) <= C(n-delta+1, w-delta+1).
-    """
-    _check_family(family, q)
-    a = _budget(d, False, n, (m, M))
-    np = n - a
-    lo = max(0, m - a)
-    hi = M - a
-    return sum(whitney_closed_form(family, np, k, q) for k in range(lo, hi + 1))
+    """The bound for schemes confined to heights [m, M]: lsb with that window."""
+    return lsb(family, n, d, q, (m, M))
 
 
 def lsb_for_lattice(lat: Lattice, d: int, window: tuple[int, int] | None = None) -> int:
@@ -81,25 +86,19 @@ def lsb_for_lattice(lat: Lattice, d: int, window: tuple[int, int] | None = None)
 
     Repeats alpha times: pass to the principal ideal of the least-id coatom.
     The coatoms of the ideal below w are the lower covers of w, so this walks
-    down from the top one height at a time.  The result is the element count
-    of the final ideal.  With a window [m, M] it is the lsb_windowed bound:
-    alpha = floor((d-1)/2) punctures (puncture-project), counting only the
-    heights [max(0, m-alpha), M-alpha].  Raises NotModularError when the
-    lattice is not modular.
+    down from the top one height at a time.  The result counts the elements
+    of the final ideal at the heights that _budget gives, as lsb does on the
+    families.  Raises NotModularError when the lattice is not modular.
     """
     if not lat.is_modular():
         raise NotModularError("the bound requires a modular lattice")
-    top = lat.total_height()
-    if window is None:
-        a = _budget(d, lat.is_distributive(), top)
-        lo, hi = 0, top
-    else:
-        a = _budget(d, False, top, window)
-        lo, hi = max(0, window[0] - a), window[1] - a
+    # is_distributive costs a pass over the lattice; a window never needs it
+    a, lo, hi = _budget(d, window is None and lat.is_distributive(), lat.total_height(), window)
     w = lat.top
     for _ in range(a):
-        w = min(y for y in lat.downset(w) if lat.heights[y] == lat.heights[w] - 1)
-    return sum(1 for y in lat.downset(w) if lo <= lat.heights[y] <= hi)
+        w = min(lat._lower_covers[w])
+    h = lat.heights
+    return sum(1 for y in lat.downset(w) if lo <= h[y] <= hi)
 
 
 def classical_singleton(n: int, d: int) -> int:
@@ -110,20 +109,9 @@ def classical_singleton(n: int, d: int) -> int:
 
 
 def kks_bound(n: int, l: int, d: int, q: int) -> int:
-    """Constant-dimension bound: Gaussian binomial (n-alpha choose l-alpha)_q.
-
-    Degenerate when l - alpha < 0: the bound is reported as 1.
-    """
-    if not 0 <= l <= n:
-        raise ValueError("need 0 <= l <= n")
-    a = puncture_budget(d, False)
-    if l - a < 0:
-        return 1
-    return gaussian(n - a, l - a, q)
-
-
-def kks_degenerate(l: int, d: int) -> bool:
-    return l - puncture_budget(d, False) < 0
+    """Constant-dimension bound: the Gaussian binomial [n-alpha, l-alpha]_q,
+    lsb_windowed at the single height l (1 when l < alpha)."""
+    return lsb_windowed("projective", n, d, l, l, q)
 
 
 def projective_singleton(n: int, d: int, q: int) -> int:

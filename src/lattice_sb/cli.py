@@ -115,6 +115,10 @@ def cmd_bounds(args) -> int:
     window = tuple(args.window) if args.window else None
     m, M = window or (None, None)
     d_values = _range_values(args, "d", "d_min", "d_max", "d")
+    if min(d_values) < 1:
+        raise ValueError("minimum distance must be >= 1")
+    if window and not 0 <= m <= M:
+        raise ValueError(f"invalid height window {m} {M}: need 0 <= m <= M")
     reports: list[bnd.BoundReport] = []
 
     if args.lattice:
@@ -130,6 +134,7 @@ def cmd_bounds(args) -> int:
         family, q = "powerset", None
     elif args.projective:
         family, q = "projective", args.q
+        fq.check_field(q)
     else:
         raise lt.LatticeError("pick a family: --powerset, --projective, or --lattice PATH")
     n_values = _range_values(args, "n", "n_min", "n_max", "n")
@@ -137,20 +142,10 @@ def cmd_bounds(args) -> int:
     for n in n_values:
         rows = []  # (d, lsb value) of the rows kept for this n
         for d in d_values:
-            a = bnd.puncture_budget(d, family == "powerset" and not window)
-            if a > n:
-                print(f"warning: skipping n={n} d={d} (puncture budget {a} > n)", file=sys.stderr)
-                continue
-            if window:
-                if M > n:
-                    print(f"warning: skipping n={n} d={d} (window top {M} > n)", file=sys.stderr)
-                    continue
-                rows.append((d, bnd.lsb_windowed(family, n, d, m, M, q)))
-                if family == "projective" and m == M and bnd.kks_degenerate(m, d):
-                    print(f"warning: degenerate window at n={n} d={d}: bound forced to "
-                          f"height {m - a} < 0", file=sys.stderr)
-            else:
-                rows.append((d, bnd.lsb(family, n, d, q)))
+            try:
+                rows.append((d, bnd.lsb(family, n, d, q, window)))
+            except ValueError as e:  # the inputs are valid, so the row does not fit n
+                print(f"warning: skipping n={n} d={d} ({e})", file=sys.stderr)
         if not rows:
             continue
         gvs = _family_gv(family, q, n, [d for d, _ in rows], window, args.max_elements)

@@ -44,7 +44,7 @@ def is_prime(q: int) -> bool:
     return True
 
 
-def _check_field(q: int):
+def check_field(q: int):
     if not is_prime(q):
         raise ValueError(f"q must be a prime, got {q}")
 
@@ -94,7 +94,7 @@ def rref(rows: Iterable[Sequence[int]], ambient: int, q: int) -> Subspace:
         The spanned Subspace; zero rows vanish, so the zero subspace has an
         empty row tuple.
     """
-    _check_field(q)
+    check_field(q)
     mat = []
     for row in rows:
         row = [int(x) % q for x in row]
@@ -168,7 +168,7 @@ def enumerate_grassmannian(n: int, k: int, q: int) -> Iterator[Subspace]:
     Deterministic order: pivot column sets ascending lexicographically, free
     entries counting up in base q.
     """
-    _check_field(q)
+    check_field(q)
     if n < 0:
         raise ValueError("n must be >= 0")
     if k < 0 or k > n:
@@ -244,7 +244,7 @@ def build_projective_lattice(n: int, q: int, max_elements: int | None = None) ->
     the name of an element is subspace_name of its subspace.  Covers join
     subspaces of consecutive dimensions whose vector masks are nested.
     """
-    _check_field(q)
+    check_field(q)
     if n < 1:
         raise ValueError("ambient dimension must be >= 1")
     size = sum(gaussian(n, k, q) for k in range(n + 1))

@@ -31,7 +31,7 @@ import random
 import time
 from typing import NamedTuple
 
-from .bounds import kks_bound, puncture_budget
+from .bounds import _budget, kks_bound
 from .lattice import Lattice, iter_bits, window_ids
 from .schemes import Scheme, make_scheme
 
@@ -96,7 +96,7 @@ class _BranchSearch:
         if self.nodes >= self.node_budget:
             raise _Budget
         self.nodes += 1
-        if self.deadline is not None and self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
+        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
             raise _Budget
         if not p_mask:
             if r_size > self.best_size:
@@ -153,10 +153,16 @@ def max_code(problem: SearchProblem) -> SearchResult:
 
     Returns the best scheme found, whether optimality was proven (budgets not
     exhausted), and the deterministic node count.  The returned scheme is
-    re-verified through the schemes module before being reported.
+    re-verified through the schemes module before being reported.  Raises
+    ValueError for d < 1, a negative node budget or a time budget that is
+    not positive.
     """
     if problem.d < 1:
         raise ValueError("minimum distance must be >= 1")
+    if problem.budget_nodes < 0:
+        raise ValueError(f"budget_nodes (--budget-nodes) must be >= 0, got {problem.budget_nodes}")
+    if not problem.budget_secs > 0:
+        raise ValueError(f"budget_secs (--budget-secs) must be > 0, got {problem.budget_secs}")
     lat = problem.lattice
     ids = window_ids(lat, problem.window)
     if not ids:
@@ -164,7 +170,7 @@ def max_code(problem: SearchProblem) -> SearchResult:
     verts, adj = _build_graph(lat, problem.d, ids)
     m = len(verts)
     greedy_mask, greedy_size = _greedy_mask(adj, m)
-    deadline = time.monotonic() + problem.budget_secs if problem.budget_secs else None
+    deadline = time.monotonic() + problem.budget_secs
 
     search = _BranchSearch(adj, problem.budget_nodes, deadline)
     best_size, best_mask = greedy_size, greedy_mask
@@ -234,10 +240,10 @@ def conjecture_probe(
     """
     from .fq import build_projective_lattice
 
+    bound = kks_bound(n, l, d, q)  # rejects bad input before the search
+    alpha = _budget(d, False, n, (l, l))[0]
     lat = build_projective_lattice(n, q, max_elements)
     res = max_code(SearchProblem(lat, d, (l, l), budget_nodes, budget_secs))
-    bound = kks_bound(n, l, d, q)
-    alpha = puncture_budget(d, False)
     return ProbeRow(
         q=q,
         n=n,

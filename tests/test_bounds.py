@@ -26,7 +26,7 @@ from lattice_sb import (
     puncture_budget,
     render_report_csv,
 )
-from lattice_sb.bounds import kks_degenerate
+from lattice_sb.bounds import _budget
 
 
 # --- reference: the GV-type bound by a per-centre ball scan ---------------------------
@@ -93,24 +93,47 @@ def test_lsb_windowed_known_value():
 
 
 def test_lsb_windowed_sums_verbatim():
-    # window clipped to [max(0, m - a), M - a]; empty windows give zero
-    assert lsb_windowed("powerset", 5, 3, 0, 0) == 0
+    # heights [max(0, m - a), max(0, M - a)]: a window below alpha counts the bottom
+    assert lsb_windowed("powerset", 5, 3, 0, 0) == 1
     assert lsb_windowed("powerset", 5, 1, 0, 5) == lsb("powerset", 5, 1)
     assert lsb_windowed("projective", 4, 4, 0, 4, 2) == lsb("projective", 4, 4, 2)
 
 
 def test_lsb_windowed_powerset_bounds_optimum():
-    # constant-weight Singleton bound; windows with M - alpha < 0 are
-    # degenerate and their verbatim 0 is not a bound
+    # constant-weight Singleton bound, on every window
     for n in range(1, 6):
         lat = build_powerset_lattice(n)
         for d in range(1, n + 1):
-            a = puncture_budget(d, False)
             for m, M in itertools.combinations_with_replacement(range(n + 1), 2):
-                if M - a < 0:
-                    continue
                 best = max_code(SearchProblem(lat, d, (m, M))).best_size
                 assert best <= lsb_windowed("powerset", n, d, m, M), (n, d, m, M)
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+def test_lsb_windowed_projective_bounds_optimum(n, q):
+    # every d the lattice can take and every window; a window below alpha
+    # holds no two members, and its bound is that optimum, 1
+    lat = build_projective_lattice(n, q)
+    for d in range(1, 2 * n + 2):
+        for m, M in itertools.combinations_with_replacement(range(n + 1), 2):
+            best = max_code(SearchProblem(lat, d, (m, M))).best_size
+            bound = lsb_windowed("projective", n, d, m, M, q)
+            assert best <= bound, (d, m, M)
+            if M < puncture_budget(d, False):
+                assert best == bound == 1, (d, m, M)
+
+
+def test_budget_shape():
+    # (alpha, lo, hi): the whole punctured lattice, or the window shifted
+    # down by alpha and clipped at 0
+    assert _budget(4, True, 5) == (3, 0, 2)
+    assert _budget(4, False, 5) == (1, 0, 4)
+    assert _budget(4, True, 5, (2, 4)) == (1, 1, 3)
+    assert _budget(5, False, 5, (0, 1)) == (2, 0, 0)
+    with pytest.raises(ValueError, match="exceeds lattice height"):
+        _budget(4, True, 2)
+    with pytest.raises(ValueError, match=r"need 0 <= m <= M <= n"):
+        _budget(2, False, 3, (1, 4))
 
 
 def test_lsb_for_lattice_matches_family_formula(pow3, sub3):
@@ -194,8 +217,18 @@ def test_kks_bound_values():
 
 def test_kks_degenerate():
     assert kks_bound(4, 0, 4, 2) == 1
-    assert kks_degenerate(0, 4)
-    assert not kks_degenerate(2, 4)
+
+
+def test_kks_bound_is_the_single_height_window():
+    # every valid input (0 <= l <= n, alpha <= n): the Gaussian binomial,
+    # or 1 when the level lies below alpha
+    for q in (2, 3):
+        for n in range(9):
+            for l in range(n + 1):
+                for d in range(1, 2 * n + 2):
+                    a = puncture_budget(d, False)
+                    want = gaussian(n - a, l - a, q) if l >= a else 1
+                    assert kks_bound(n, l, d, q) == lsb_windowed("projective", n, d, l, l, q) == want
 
 
 def test_projective_singleton_values():

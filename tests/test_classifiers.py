@@ -231,17 +231,17 @@ def test_lsb_for_lattice_matches_materialized_puncturing(lat):
 @example(build_projective_lattice(3, 2))
 @example(build_projective_lattice(2, 3))
 def test_gv_max_code_lsb_sandwich(lat):
-    """gv <= max_code <= lsb_for_lattice for every d, without a window and on
-    every window that is not degenerate (M - alpha >= 0)."""
+    """gv <= max_code <= lsb_for_lattice, and 1 <= lsb_for_lattice, for every
+    d the lattice can take, without a window and on every window."""
     assume(lat.is_modular())
     top = lat.total_height()
     windows = [None] + list(itertools.combinations_with_replacement(range(top + 1), 2))
     for d in range(1, 2 * top + 2):
         for window in windows:
-            a = puncture_budget(d, window is None and lat.is_distributive())
-            if a > top or (window is not None and window[1] - a < 0):
+            if puncture_budget(d, window is None and lat.is_distributive()) > top:
                 continue
             upper = lsb_for_lattice(lat, d, window)
             res = max_code(SearchProblem(lat, d, window))
             assert res.proven_optimal
+            assert upper >= 1, (d, window)
             assert gv_lower_for_lattice(lat, d, window) <= res.best_size <= upper, (d, window)

@@ -186,6 +186,30 @@ def test_bounds_rejects_inverted_window(capsys, tmp_path):
     assert "window" in err
 
 
+@pytest.mark.parametrize("argv", [("--projective", "-n", "4", "-d", "4", "--window", "2", "1"),
+                                  ("--powerset", "-n", "4", "-d", "0"),
+                                  ("--projective", "-q", "1", "-n", "3", "-d", "2")])
+def test_bounds_family_input_errors_exit_2(capsys, argv):
+    # input errors are not rows that fail to fit n: they stop the command
+    code, out, err = run(capsys, "bounds", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_bounds_skips_rows_that_do_not_fit_n(capsys):
+    code, out, err = run(capsys, "bounds", "--projective", "--n-min", "2", "--n-max", "4",
+                         "-d", "4", "--window", "3", "3")
+    assert code == 0
+    assert err == "warning: skipping n=2 d=4 (need 0 <= m <= M <= n)\n"
+    assert [line.split(",")[2] for line in out.strip().split("\n")[1:]] == ["3", "4"]
+
+
+def test_bounds_degenerate_window_is_one(capsys):
+    # alpha = 2 > M = 1: no two atoms are 5 apart, so the optimum is 1
+    row = bounds_row(capsys, "--powerset", "-n", "5", "-d", "5", "--window", "1", "1")
+    assert (row["lsb"], row["gv_lower"]) == ("1", "1")
+
+
 def test_bounds_builds_each_projective_lattice_once(capsys, monkeypatch):
     """One build per n, with the CSV each row would get from its own gv_lower;
     Sub(F_2^5) is over the cap, so its gv_lower cells stay blank."""
@@ -291,7 +315,7 @@ def test_bounds_window_applies_to_lattice_lsb(capsys, tmp_path):
 @pytest.mark.parametrize("source", [("--powerset", "-n", "5"), ("--projective", "-n", "4"),
                                     ("--lattice", "sub3.json")])
 def test_bounds_windowed_rows_are_consistent(capsys, tmp_path, monkeypatch, source):
-    """gv_lower <= lsb on every row whose window is not degenerate (M - alpha >= 0)."""
+    """gv_lower <= lsb on every row, degenerate windows (M < alpha) included."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sub3.json").write_text(to_json(fq.build_projective_lattice(3, 2)))
     top = 3 if source[0] == "--lattice" else int(source[2])
@@ -302,9 +326,8 @@ def test_bounds_windowed_rows_are_consistent(capsys, tmp_path, monkeypatch, sour
             assert code == 0
             for line in out.strip().split("\n")[1:]:
                 cells = line.split(",")
-                d, lsb_v, gv = int(cells[3]), int(cells[6]), int(cells[8])
-                if M - puncture_budget(d, False) >= 0:
-                    assert gv <= lsb_v, line
+                lsb_v, gv = int(cells[6]), int(cells[8])
+                assert gv <= lsb_v, line
 
 
 # --- fig5 ----------------------------------------------------------------------------
@@ -488,6 +511,25 @@ def test_search_budget_secs_exit(capsys):
     obj = json.loads(out)
     assert obj["proven_optimal"] is False
     assert obj["nodes"] == 4096
+
+
+@pytest.mark.parametrize("flag,value", [("--budget-secs", "0"), ("--budget-secs", "-1"),
+                                        ("--budget-nodes", "-5")])
+def test_search_rejects_bad_budget(capsys, flag, value):
+    code, out, err = run(capsys, "search", "--projective", "-n", "4", "-d", "4",
+                         "--window", "2", "2", flag, value)
+    assert code == 2 and out == ""
+    assert flag in err
+
+
+@pytest.mark.parametrize("source", [("--projective", "-n", "4", "-d", "4", "--window", "0", "0"),
+                                    ("--powerset", "3", "-d", "5", "--window", "0", "1")])
+def test_search_degenerate_window_sandwich(capsys, source):
+    # the window lies below alpha, so the bound is 1, the proven optimum
+    code, out, _ = run(capsys, "search", *source)
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["best_size"], obj["bound"], obj["sandwich"]) == (1, 1, "PASS")
 
 
 def test_search_named_lattice(capsys):

@@ -196,6 +196,14 @@ def test_max_code_deadline_stops_early():
     assert res.nodes == 4096
 
 
+@pytest.mark.parametrize("budget", [{"budget_secs": 0}, {"budget_secs": -1}, {"budget_nodes": -5}])
+def test_max_code_rejects_bad_budget(sub2, budget):
+    # a zero time budget is not "no deadline", and a negative node budget is no budget
+    (name,) = budget
+    with pytest.raises(ValueError, match=name):
+        max_code(SearchProblem(sub2, 2, **budget))
+
+
 def test_max_code_validation(sub2):
     with pytest.raises(ValueError):
         max_code(SearchProblem(sub2, 0))
