@@ -82,23 +82,33 @@ def lsb_windowed(family: str, n: int, d: int, m: int, M: int, q: int | None = No
 
 
 def lsb_for_lattice(lat: Lattice, d: int, window: tuple[int, int] | None = None) -> int:
-    """The bound on an explicit modular lattice, by puncturing.
+    """The bound on an explicit modular lattice, by puncturing: lsb_values for one d."""
+    return lsb_values(lat, [d], window)[0]
+
+
+def lsb_values(lat: Lattice, d_values, window: tuple[int, int] | None = None) -> list[int]:
+    """The bound on an explicit modular lattice for each d in d_values.
 
     Repeats alpha times: pass to the principal ideal of the least-id coatom.
     The coatoms of the ideal below w are the lower covers of w, so this walks
     down from the top one height at a time.  The result counts the elements
     of the final ideal at the heights that _budget gives, as lsb does on the
-    families.  Raises NotModularError when the lattice is not modular.
+    families.  The lattice is classified once for all d.  Raises
+    NotModularError when the lattice is not modular.
     """
     if not lat.is_modular():
         raise NotModularError("the bound requires a modular lattice")
     # is_distributive costs a pass over the lattice; a window never needs it
-    a, lo, hi = _budget(d, window is None and lat.is_distributive(), lat.total_height(), window)
-    w = lat.top
-    for _ in range(a):
-        w = min(lat._lower_covers[w])
+    distributive = window is None and lat.is_distributive()
     h = lat.heights
-    return sum(1 for y in lat.downset(w) if lo <= h[y] <= hi)
+    values = []
+    for d in d_values:
+        a, lo, hi = _budget(d, distributive, lat.total_height(), window)
+        w = lat.top
+        for _ in range(a):
+            w = min(lat._lower_covers[w])
+        values.append(sum(1 for y in lat.downset(w) if lo <= h[y] <= hi))
+    return values
 
 
 def classical_singleton(n: int, d: int) -> int:

@@ -119,12 +119,15 @@ def cmd_bounds(args) -> int:
         raise ValueError("minimum distance must be >= 1")
     if window and not 0 <= m <= M:
         raise ValueError(f"invalid height window {m} {M}: need 0 <= m <= M")
+    n_low = args.n if args.n is not None else args.n_min
+    if n_low is not None and n_low < 0:
+        raise ValueError(f"n must be >= 0, got {n_low}")
     reports: list[bnd.BoundReport] = []
 
     if args.lattice:
         lat = _load_json(args)
         gvs = bnd.gv_lower_values(lat, d_values, window)
-        lsbs = [bnd.lsb_for_lattice(lat, d, window) for d in d_values]
+        lsbs = bnd.lsb_values(lat, d_values, window)
         for d, value, gv in zip(d_values, lsbs, gvs):
             reports.append(bnd.BoundReport("lattice", None, lat.total_height(), d, m, M, value, gv))
         _emit(bnd.render_report_csv(reports), args.output)

@@ -9,9 +9,13 @@ import pytest
 from lattice_sb import (
     BoundReport,
     CapExceeded,
+    Lattice,
     build_powerset_lattice,
     gv_lower,
     lsb,
+    lsb_for_lattice,
+    make_scheme,
+    min_distance,
     puncture_budget,
     render_report_csv,
     to_json,
@@ -208,6 +212,33 @@ def test_bounds_degenerate_window_is_one(capsys):
     # alpha = 2 > M = 1: no two atoms are 5 apart, so the optimum is 1
     row = bounds_row(capsys, "--powerset", "-n", "5", "-d", "5", "--window", "1", "1")
     assert (row["lsb"], row["gv_lower"]) == ("1", "1")
+
+
+@pytest.mark.parametrize("family", ["--powerset", "--projective"])
+@pytest.mark.parametrize("n_args", [("-n", "-1"), ("--n-min", "-2", "--n-max", "3")])
+def test_bounds_negative_n_is_input_error(capsys, family, n_args):
+    # not a row that fails to fit n: the command stops before any row
+    code, out, err = run(capsys, "bounds", family, *n_args, "-d", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: n must be >= 0, got {n_args[1]}\n"
+
+
+@pytest.mark.parametrize("window", [(), ("--window", "1", "3")])
+def test_bounds_lattice_classifies_once(capsys, tmp_path, monkeypatch, window):
+    """One is_modular, and without a window one is_distributive, for all d,
+    with the cells lsb_for_lattice gives one d at a time."""
+    lat = fq.build_projective_lattice(4, 2)
+    path = tmp_path / "sub4.json"
+    path.write_text(to_json(lat))
+    want = [str(lsb_for_lattice(lat, d, tuple(map(int, window[1:])) or None)) for d in (2, 3, 4)]
+    calls = []
+    for name in ("is_modular", "is_distributive"):
+        real = getattr(Lattice, name)
+        monkeypatch.setattr(Lattice, name, lambda self, real=real, name=name: calls.append(name) or real(self))
+    code, out, _ = run(capsys, "bounds", "--lattice", str(path), "--d-min", "2", "--d-max", "4", *window)
+    assert code == 0
+    assert [line.split(",")[6] for line in out.strip().split("\n")[1:]] == want
+    assert calls == ["is_modular"] + (["is_distributive"] if not window else [])
 
 
 def test_bounds_builds_each_projective_lattice_once(capsys, monkeypatch):
@@ -487,6 +518,21 @@ def test_search_budget_exhausted_exit(capsys):
     assert obj["proven_optimal"] is False
     assert obj["best_size"] == 2
     assert obj["nodes"] == 1
+
+
+def test_search_starts_from_best_level(capsys):
+    # height order takes the 31 points, which block every line; the line
+    # level alone holds all 155 lines, the optimum, before the first node
+    code, out, _ = run(capsys, "search", "--projective", "-n", "5", "-d", "2", "--window", "1", "2",
+                       "--budget-nodes", "1", "--max-elements", "400")
+    assert code == 3
+    obj = json.loads(out)
+    assert obj["best_size"] == 155
+    lat = fq.build_projective_lattice(5, 2, 400)
+    ids = {nm: x for x, nm in enumerate(lat.names)}
+    members = {ids[nm] for nm in obj["scheme"]}
+    assert len(members) == 155
+    assert min_distance(make_scheme(lat, members)) >= 2
 
 
 def test_search_budget_stop_skips_sandwich(capsys, monkeypatch):

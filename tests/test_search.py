@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lattice_sb import (
     SearchProblem,
@@ -20,7 +20,8 @@ from lattice_sb import (
     window_ids,
 )
 from lattice_sb.lattice import iter_bits
-from lattice_sb.search import _BranchSearch
+from lattice_sb.search import _BranchSearch, _build_graph
+from test_classifiers import lattices
 
 
 def brute_force_max(lat, d, window=None):
@@ -88,8 +89,8 @@ def test_color_sort_matches_greedy_reference(m, density, seed, kmin):
 @pytest.mark.parametrize(
     "build, d, window, best_size, nodes",
     [
-        (lambda: build_projective_lattice(5, 2, max_elements=400), 2, (1, 2), 155, 15_996),
-        (lambda: build_projective_lattice(4, 3, max_elements=400), 2, (1, 2), 130, 12_455),
+        (lambda: build_projective_lattice(5, 2, max_elements=400), 2, (1, 2), 155, 186),
+        (lambda: build_projective_lattice(4, 3, max_elements=400), 2, (1, 2), 130, 170),
         (lambda: build_projective_lattice(4, 3, max_elements=400), 4, (2, 2), 10, 886),
         (lambda: build_powerset_lattice(8, max_elements=400), 4, None, 16, 17_700),
         (lambda: build_powerset_lattice(7), 3, None, 16, 8_348),
@@ -131,6 +132,48 @@ def test_max_code_matches_networkx_oracle(name):
             res = max_code(SearchProblem(lat, d, window))
             assert res.proven_optimal
             assert res.best_size == networkx_clique_number(lat, d, window), (d, window)
+
+
+def height_order_search(lat, d, window):
+    """(best_size, nodes) of the search started from the height-order greedy
+    scheme alone, with no single-level seed."""
+    verts, adj = _build_graph(lat, d, window_ids(lat, window))
+    mask = start = 0
+    for v in range(len(verts)):
+        if adj[v] & mask == mask:
+            mask |= 1 << v
+            start += 1
+    search = _BranchSearch(adj, 10**9, float("inf"))
+    best = start
+    for v in range(len(verts)):
+        assert search.run(v, adj[v] & ~((1 << (v + 1)) - 1), start)
+        best = max(best, search.best_size)
+    return best, search.nodes
+
+
+def assert_level_seed_only_prunes(lat):
+    """On every d and every window of two or more levels, the best level's
+    greedy start finds the same optimum in at most the reference's nodes."""
+    h = lat.total_height()
+    windows = [None] + list(itertools.combinations(range(h + 1), 2))
+    for d in range(1, 2 * h + 1):
+        for window in windows:
+            res = max_code(SearchProblem(lat, d, window))
+            best, nodes = height_order_search(lat, d, window)
+            assert res.proven_optimal
+            assert res.best_size == best and res.nodes <= nodes, (d, window)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_LATTICES))
+def test_level_seed_only_prunes_oracle_lattices(name):
+    assert_level_seed_only_prunes(ORACLE_LATTICES[name]())
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattices)
+def test_level_seed_only_prunes_generated_modular(lat):
+    assume(lat.is_modular())
+    assert_level_seed_only_prunes(lat)
 
 
 def test_max_code_sub2_d2(sub2):
