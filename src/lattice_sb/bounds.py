@@ -3,7 +3,8 @@
 All bound values are exact integers.  The family variants (power-set,
 projective) use closed-form Whitney sums and never materialize a lattice;
 the explicit-lattice variant realizes the bound by repeated coatom
-puncturing of the actual lattice.
+puncturing of the actual lattice.  The anticode bound, which the search
+uses to stop at its root, is a closed form on the families only.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .counting import FAMILIES, binomial, whitney_closed_form
+from .counting import FAMILIES, binomial, gaussian, whitney_closed_form
 from .lattice import Lattice, window_ids
 
 
@@ -127,6 +128,67 @@ def kks_bound(n: int, l: int, d: int, q: int) -> int:
 def projective_singleton(n: int, d: int, q: int) -> int:
     """Sum of Gaussian binomials of the (n-alpha)-dim projective space."""
     return lsb("projective", n, d, q)
+
+
+def anticode_bound(family: str, n: int, d: int, q: int | None = None,
+                   window: tuple[int, int] | None = None) -> int | None:
+    """The clique-coclique bound floor(|V| / |I|), or None where it is not known to hold.
+
+    A scheme is a clique of the graph joining elements at distance >= d; a
+    coclique is an anticode, a set of pairwise distance <= d - 1.  On a
+    vertex-transitive graph every clique C and coclique I satisfy
+    |C| * |I| <= |V|, so I is taken as the largest anticode.  Three windows
+    have a vertex-transitive graph and a known largest anticode:
+
+    - The whole power set 2^[n] (no window, or (0, n)), the hypercube.  With
+      D = d - 1, Kleitman's diameter theorem (J. Combin. Theory 1966) gives
+      2^n if D >= n, the Hamming ball sum_{i<=r} C(n, i) if D = 2r, and
+      2 * sum_{i<=r} C(n-1, i) if D = 2r + 1.
+    - One level k of 2^[n], the Johnson graph.  Two k-sets lie at distance
+      2(k - |A n B|), so anticodes are the t-intersecting families with
+      t = k - floor((d-1)/2).  The largest is one of the Ahlswede-Khachatrian
+      families {A : |A n [t+2r]| >= t+r} (complete intersection theorem,
+      1997), whichever r gives the most sets.
+    - One level k of Sub(F_q^n), the Grassmann graph, with the same t.  The
+      largest is the larger of the star of a t-space, [n-t, k-t]_q, and the
+      k-spaces of a (2k-t)-space, [2k-t, k]_q (Frankl-Wilson 1986).  This is
+      the anticode bound of Etzion-Vardy (IEEE T-IT 2011).
+
+    On a level, t <= 0 or 2k - t >= n makes the whole level an anticode, and
+    the bound is 1.  Raises ValueError unless d >= 1 and 0 <= m <= M <= n.
+    """
+    _check_family(family, q)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if d < 1:
+        raise ValueError("minimum distance must be >= 1")
+    if window is not None and not 0 <= window[0] <= window[1] <= n:
+        raise ValueError("need 0 <= m <= M <= n")
+    D = d - 1
+    if family == "powerset" and window in (None, (0, n)):
+        r = D // 2
+        if D >= n:
+            size = 2**n
+        elif D % 2 == 0:
+            size = sum(binomial(n, i) for i in range(r + 1))
+        else:
+            size = 2 * sum(binomial(n - 1, i) for i in range(r + 1))
+        return 2**n // size
+    if window is None or window[0] != window[1]:
+        return None
+    k = window[0]
+    t = k - D // 2
+    if t <= 0 or 2 * k - t >= n:
+        return 1
+    if family == "powerset":
+        size = max(
+            sum(binomial(t + 2 * r, i) * binomial(n - t - 2 * r, k - i)
+                for i in range(t + r, min(k, t + 2 * r) + 1))
+            for r in range((n - t) // 2 + 1)
+        )
+    else:
+        size = max(gaussian(n - t, k - t, q), gaussian(2 * k - t, k, q))
+    return whitney_closed_form(family, n, k, q) // size
 
 
 # --- volumes and the GV-type lower bound -------------------------------------

@@ -222,7 +222,10 @@ def subspace_from_text(text: str, ambient: int, q: int) -> Subspace:
 
 
 def build_powerset_lattice(n: int, max_elements: int | None = None) -> Lattice:
-    """The lattice of subsets of {1..n}; element ids are subset bitmasks."""
+    """The lattice of subsets of {1..n}; element ids are subset bitmasks.
+
+    The result records its family as ("powerset", n, None).
+    """
     if n < 0 or n > 20:
         raise ValueError("power-set lattice supported for 0 <= n <= 20")
     size = 1 << n
@@ -234,7 +237,9 @@ def build_powerset_lattice(n: int, max_elements: int | None = None) -> Lattice:
         )
     names = ["{" + ",".join(str(i + 1) for i in iter_bits(s)) + "}" for s in range(size)]
     covers = [(s, s | (1 << i)) for s in range(size) for i in range(n) if not (s >> i) & 1]
-    return build_lattice(names, covers)
+    lat = build_lattice(names, covers)
+    lat.family = ("powerset", n, None)
+    return lat
 
 
 def build_projective_lattice(n: int, q: int, max_elements: int | None = None) -> Lattice:
@@ -242,7 +247,8 @@ def build_projective_lattice(n: int, q: int, max_elements: int | None = None) ->
 
     Ids follow all_subspaces(n, q) order, so height equals dimension, and
     the name of an element is subspace_name of its subspace.  Covers join
-    subspaces of consecutive dimensions whose vector masks are nested.
+    subspaces of consecutive dimensions whose vector masks are nested.  The
+    result records its family as ("projective", n, q).
     """
     check_field(q)
     if n < 1:
@@ -264,7 +270,9 @@ def build_projective_lattice(n: int, q: int, max_elements: int | None = None) ->
         for b in by_dim[k + 1]:
             outside = ~masks[b]
             covers += [(a, b) for a in by_dim[k] if not masks[a] & outside]
-    return build_lattice([subspace_name(s) for s in subs], covers)
+    lat = build_lattice([subspace_name(s) for s in subs], covers)
+    lat.family = ("projective", n, q)
+    return lat
 
 
 def _vector_masks(subs: list[Subspace]) -> list[int]:

@@ -5,6 +5,12 @@ as per-element up/down bitmask sets, and join/meet are materialized n x n
 tables computed (and validated) at construction time, so a Lattice is only
 ever created for inputs that really are lattices.  Instances are immutable
 after construction and safe to share between threads.
+
+A lattice made by a family builder of the fq module records that family in
+`family`, as ("powerset", n, None) or ("projective", n, q); every other
+lattice has None.  The family stands for what no check here can establish
+cheaply, namely that each rank's distance graph is vertex-transitive, so only
+the builders set it (and with_names keeps it).
 """
 
 from __future__ import annotations
@@ -68,7 +74,8 @@ def iter_bits(mask: int):
 class Lattice:
     """Immutable finite lattice with materialized join/meet tables."""
 
-    def __init__(self, names, covers, up, down, heights, join_table, meet_table, bottom, top):
+    def __init__(self, names, covers, up, down, heights, join_table, meet_table, bottom, top,
+                 family=None):
         self.names = tuple(names)
         self.covers = tuple(covers)  # Hasse-reduced (lower, upper) pairs, sorted
         self.heights = tuple(heights)
@@ -78,6 +85,7 @@ class Lattice:
         self.top = top
         self._up = tuple(up)
         self._down = tuple(down)
+        self.family = family  # (family, n, q) of an fq builder, else None
         self.name_to_id = {nm: i for i, nm in enumerate(self.names)}
         lower: list[list[int]] = [[] for _ in self.names]
         for lo, hi in self.covers:
@@ -358,7 +366,8 @@ def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Latt
 
 
 def with_names(lat: Lattice, names: Sequence[str]) -> Lattice:
-    """The same lattice with replaced display names; ids, order and tables are kept.
+    """The same lattice with replaced display names; ids, order, tables and
+    family are kept.
 
     Raises:
         LatticeError: names is not one distinct name per element.
@@ -366,7 +375,7 @@ def with_names(lat: Lattice, names: Sequence[str]) -> Lattice:
     if len(names) != len(lat) or len(set(names)) != len(lat):
         raise LatticeError(f"need {len(lat)} distinct names, got {len(set(names))} of {len(names)}")
     return Lattice(names, lat.covers, lat._up, lat._down, lat.heights,
-                   lat.join_table, lat.meet_table, lat.bottom, lat.top)
+                   lat.join_table, lat.meet_table, lat.bottom, lat.top, lat.family)
 
 
 def sublattice_closure(lat: Lattice, seed: Iterable[int]) -> Lattice:

@@ -25,6 +25,18 @@ whole-window greedy takes the 31 points, which block every line, while the
 line level alone gives all 155 lines, the optimum.  A higher start only
 prunes more, so it never adds nodes.
 
+On a lattice made by a family builder (`Lattice.family`), the search asks
+bounds.anticode_bound for a cap, and when the starting scheme already has
+that many members it is proven optimal at the root, with 0 nodes.  The cap
+is sound because the graph is vertex-transitive there (S_n acts
+transitively on 2^[n] and on each of its levels, GL(n, q) on each level of
+Sub(F_q^n)), and on a vertex-transitive graph a clique has at most
+|V| / |I| vertices for any coclique I.  A lattice from JSON, a rebuild or a
+sublattice carries no family: nothing checks its graph for that symmetry,
+so it always runs the whole tree.  The cap stops only the root; within the
+tree the colour bound alone prunes, so a search that does not start at the
+cap keeps its node count.
+
 Each branch starts from that incumbent and never sees its earlier
 siblings' improvements, and results merge in branch order.  Sharing the
 incumbent would prune more, but it is an algorithm change of its own: it
@@ -41,7 +53,7 @@ import random
 import time
 from typing import NamedTuple
 
-from .bounds import _budget, kks_bound
+from .bounds import _budget, anticode_bound, kks_bound
 from .lattice import Lattice, iter_bits, window_ids
 from .schemes import Scheme, make_scheme
 
@@ -163,10 +175,11 @@ def max_code(problem: SearchProblem) -> SearchResult:
     """Largest scheme with pairwise distance >= d inside the window.
 
     Returns the best scheme found, whether optimality was proven (budgets not
-    exhausted), and the deterministic node count.  The returned scheme is
-    re-verified through the schemes module before being reported.  Raises
-    ValueError for d < 1, a negative node budget or a time budget that is
-    not positive.
+    exhausted, or a family lattice's start reached its anticode bound), and
+    the deterministic node count.  The returned scheme is re-verified
+    through the schemes module before being reported.  Raises ValueError for
+    d < 1, a negative node budget, a time budget that is not positive, or a
+    non-empty window that reaches above the top of a family lattice.
     """
     if problem.d < 1:
         raise ValueError("minimum distance must be >= 1")
@@ -178,6 +191,10 @@ def max_code(problem: SearchProblem) -> SearchResult:
     ids = window_ids(lat, problem.window)
     if not ids:
         return SearchResult((), 0, True, 0)
+    cap = None
+    if lat.family is not None:
+        family, n, q = lat.family
+        cap = anticode_bound(family, n, problem.d, q, problem.window)
     verts, adj = _build_graph(lat, problem.d, ids)
     m = len(verts)
     greedy_mask, greedy_size = _greedy_mask(adj, range(m))
@@ -191,7 +208,9 @@ def max_code(problem: SearchProblem) -> SearchResult:
     search = _BranchSearch(adj, problem.budget_nodes, deadline)
     best_size, best_mask = greedy_size, greedy_mask
     proven = True
-    for v in range(m):
+    # a start that reaches the anticode bound is optimal: no branch can beat it
+    branches = 0 if cap is not None and greedy_size >= cap else m
+    for v in range(branches):
         proven = search.run(v, adj[v] & ~((1 << (v + 1)) - 1), greedy_size)
         if search.best_size > best_size:
             best_size, best_mask = search.best_size, search.best_mask

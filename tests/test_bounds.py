@@ -8,6 +8,8 @@ from lattice_sb import (
     BOUND_CSV_HEADER,
     BoundReport,
     SearchProblem,
+    anticode_bound,
+    build_lattice,
     build_named_lattice,
     build_powerset_lattice,
     build_projective_lattice,
@@ -25,8 +27,10 @@ from lattice_sb import (
     projective_singleton,
     puncture_budget,
     render_report_csv,
+    window_ids,
 )
 from lattice_sb.bounds import _budget
+from lattice_sb.search import _BranchSearch
 
 
 # --- reference: the GV-type bound by a per-centre ball scan ---------------------------
@@ -235,6 +239,73 @@ def test_projective_singleton_values():
     assert projective_singleton(4, 4, 2) == 16
     assert projective_singleton(3, 3, 2) == 5
     assert projective_singleton(3, 1, 2) == 16
+
+
+# --- the anticode (clique-coclique) bound --------------------------------------------
+
+
+def largest_anticode(lat, d, window):
+    """The most window elements at pairwise distance < d, found by the
+    exhaustive clique search on the graph that joins such pairs."""
+    ids = window_ids(lat, window)
+    adj = [0] * len(ids)
+    for i, j in itertools.combinations(range(len(ids)), 2):
+        if lat.distance(ids[i], ids[j]) < d:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    search = _BranchSearch(adj, 10**9, float("inf"))
+    best = 0
+    for v in range(len(ids)):
+        assert search.run(v, adj[v] & ~((1 << (v + 1)) - 1), best)
+        best = max(best, search.best_size)
+    return best
+
+
+ANTICODE_LATTICES = {
+    **{f"pow{n}": (lambda n=n: build_powerset_lattice(n)) for n in range(1, 7)},
+    **{f"sub{n}2": (lambda n=n: build_projective_lattice(n, 2)) for n in range(2, 5)},
+    "sub33": lambda: build_projective_lattice(3, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANTICODE_LATTICES))
+def test_anticode_bound_matches_clique_oracle(name):
+    """Every level (and the whole power set), every d up to 2n + 1: the bound
+    is |V| // the largest anticode, at least the optimum of a search with no
+    cap (on a rebuild that carries no family), and at most lsb."""
+    lat = ANTICODE_LATTICES[name]()
+    family, n, q = lat.family
+    free = build_lattice(lat.names, lat.covers)
+    windows = [(k, k) for k in range(n + 1)] + ([None] if family == "powerset" else [])
+    for window in windows:
+        size = len(window_ids(lat, window))
+        for d in range(1, 2 * n + 2):
+            cap = anticode_bound(family, n, d, q, window)
+            assert cap == size // largest_anticode(lat, d, window), (window, d)
+            assert cap >= max_code(SearchProblem(free, d, window)).best_size, (window, d)
+            try:
+                bound = lsb(family, n, d, q, window)
+            except ValueError:  # more punctures than the lattice is high
+                continue
+            assert cap <= bound, (window, d)
+
+
+def test_anticode_bound_values_and_scope():
+    # lines of PG(5,2): 651 // 31, the optimum A_2(6,4;2) = 21; PG(4,2): 155 // 15
+    assert anticode_bound("projective", 6, 4, 2, (2, 2)) == 21
+    assert anticode_bound("projective", 5, 4, 2, (2, 2)) == 10
+    # 2^[8], d = 4: 256 // (2 * (1 + 7)), the extended Hamming code's 16
+    assert anticode_bound("powerset", 8, 4) == anticode_bound("powerset", 8, 4, window=(0, 8)) == 16
+    # graphs not known to be vertex-transitive get no bound
+    assert anticode_bound("projective", 4, 4, 2) is None
+    assert anticode_bound("projective", 4, 4, 2, (0, 4)) is None
+    assert anticode_bound("projective", 4, 4, 2, (1, 2)) is None
+    assert anticode_bound("powerset", 6, 3, window=(2, 3)) is None
+    for bad in [("powerset", 4, 0), ("powerset", -1, 2), ("projective", 4, 2)]:
+        with pytest.raises(ValueError):
+            anticode_bound(*bad)
+    with pytest.raises(ValueError, match="need 0 <= m <= M <= n"):
+        anticode_bound("powerset", 4, 2, window=(2, 5))
 
 
 # --- balls and GV-type lower bounds ---------------------------------------------------

@@ -10,11 +10,14 @@ from lattice_sb import (
     BoundReport,
     CapExceeded,
     Lattice,
+    SearchProblem,
+    build_lattice,
     build_powerset_lattice,
     gv_lower,
     lsb,
     lsb_for_lattice,
     make_scheme,
+    max_code,
     min_distance,
     puncture_budget,
     render_report_csv,
@@ -535,8 +538,11 @@ def test_search_starts_from_best_level(capsys):
     assert min_distance(make_scheme(lat, members)) >= 2
 
 
-def test_search_budget_stop_skips_sandwich(capsys, monkeypatch):
-    argv = ("search", "--projective", "-n", "4", "-d", "4", "--window", "2", "2",
+def test_search_budget_stop_skips_sandwich(capsys, monkeypatch, tmp_path):
+    # a JSON copy: the family lattice would be proven at the root
+    path = tmp_path / "sub42.json"
+    path.write_text(to_json(fq.build_projective_lattice(4, 2)))
+    argv = ("search", "--lattice", str(path), "-d", "4", "--window", "2", "2",
             "--budget-nodes", "1")
     code, out, _ = run(capsys, *argv)
     assert code == 3
@@ -550,13 +556,35 @@ def test_search_budget_stop_skips_sandwich(capsys, monkeypatch):
     assert json.loads(out)["sandwich"] == "FAIL"
 
 
-def test_search_budget_secs_exit(capsys):
-    # the clock is read every 4096 nodes; the full search needs about 8k
-    code, out, _ = run(capsys, "search", "--powerset", "7", "-d", "3", "--budget-secs", "1e-9")
+def test_search_budget_secs_exit(capsys, tmp_path):
+    # the clock is read every 4096 nodes; the full search needs about 8k.  A
+    # JSON copy: the family lattice would be proven at the root.
+    path = tmp_path / "pow7.json"
+    path.write_text(to_json(build_powerset_lattice(7)))
+    code, out, _ = run(capsys, "search", "--lattice", str(path), "-d", "3", "--budget-secs", "1e-9")
     assert code == 3
     obj = json.loads(out)
     assert obj["proven_optimal"] is False
     assert obj["nodes"] == 4096
+
+
+def test_search_json_copy_is_not_certified(capsys, tmp_path):
+    # the family lattice is proven at the root; its JSON copy carries no
+    # family, so it searches the whole tree for the same result
+    source = ("--projective", "-n", "4", "-d", "4", "--window", "2", "2")
+    code, out, _ = run(capsys, "search", *source)
+    assert code == 0
+    family = json.loads(out)
+    assert family["nodes"] == 0
+    lat = fq.build_projective_lattice(4, 2)
+    path = tmp_path / "sub42.json"
+    path.write_text(to_json(lat))
+    code, out, _ = run(capsys, "search", "--lattice", str(path), *source[3:])
+    assert code == 0
+    copy = json.loads(out)
+    full = max_code(SearchProblem(build_lattice(lat.names, lat.covers), 4, (2, 2)))
+    assert copy["nodes"] == full.nodes > 0
+    assert {**copy, "nodes": 0} == family
 
 
 @pytest.mark.parametrize("flag,value", [("--budget-secs", "0"), ("--budget-secs", "-1"),

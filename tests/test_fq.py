@@ -9,10 +9,12 @@ from lattice_sb import (
     CapExceeded,
     LatticeError,
     all_subspaces,
+    build_lattice,
     build_named_lattice,
     build_powerset_lattice,
     build_projective_lattice,
     enumerate_grassmannian,
+    from_json,
     gaussian,
     rref,
     subspace_from_text,
@@ -20,6 +22,7 @@ from lattice_sb import (
     subspace_leq,
     subspace_sum,
     subspace_to_text,
+    to_json,
 )
 from lattice_sb.fq import (
     contains_vector,
@@ -280,6 +283,20 @@ def test_named_l2(l2):
     below = [x for x in l2.atoms() if l2.leq(x, a35)]
     assert len(below) == 1
     assert not l2.is_geometric()
+
+
+def test_family_provenance(pow4, sub3, m3, n5, l1, l2):
+    # only the family builders record a family (M3 is Sub(F_2^2) renamed);
+    # rebuilds, JSON round trips and sublattices carry none
+    assert pow4.family == ("powerset", 4, None)
+    assert sub3.family == ("projective", 3, 2)
+    assert build_projective_lattice(2, 3).family == ("projective", 2, 3)
+    assert m3.family == ("projective", 2, 2)
+    for lat in (n5, l1, l2):
+        assert lat.family is None
+    for lat in (pow4, sub3, m3):
+        assert build_lattice(lat.names, lat.covers).family is None
+        assert from_json(to_json(lat)).family is None
 
 
 def test_named_unknown():

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lattice_sb import (
     SearchProblem,
+    build_lattice,
     build_named_lattice,
     build_powerset_lattice,
     build_projective_lattice,
@@ -85,20 +86,56 @@ def test_color_sort_matches_greedy_reference(m, density, seed, kmin):
 # --- exact search -------------------------------------------------------------------
 
 
-# (best_size, nodes) pinned: node counts change only with the algorithm.
+def family_free(lat):
+    """The same lattice, same ids and same search tree, with no family: the
+    search gets no anticode bound and runs its whole tree."""
+    return build_lattice(lat.names, lat.covers)
+
+
+def run_search(build, d, window=None):
+    return lambda: max_code(SearchProblem(build(), d, window))
+
+
+def sub52():
+    return build_projective_lattice(5, 2, max_elements=400)
+
+
+def sub43():
+    return build_projective_lattice(4, 3, max_elements=400)
+
+
+def pow8():
+    return build_powerset_lattice(8, max_elements=400)
+
+
+def pow7():
+    return build_powerset_lattice(7)
+
+
+# (best_size, nodes) pinned: node counts change only with the algorithm.  The
+# family lattices whose greedy start meets the anticode bound prove it at the
+# root; their family-free rebuilds keep the full search's counts.
 @pytest.mark.parametrize(
-    "build, d, window, best_size, nodes",
+    "run, best_size, nodes",
     [
-        (lambda: build_projective_lattice(5, 2, max_elements=400), 2, (1, 2), 155, 186),
-        (lambda: build_projective_lattice(4, 3, max_elements=400), 2, (1, 2), 130, 170),
-        (lambda: build_projective_lattice(4, 3, max_elements=400), 4, (2, 2), 10, 886),
-        (lambda: build_powerset_lattice(8, max_elements=400), 4, None, 16, 17_700),
-        (lambda: build_powerset_lattice(7), 3, None, 16, 8_348),
+        (run_search(lambda: family_free(sub52()), 2, (1, 2)), 155, 186),
+        (run_search(lambda: family_free(sub43()), 2, (1, 2)), 130, 170),
+        (run_search(lambda: family_free(sub43()), 4, (2, 2)), 10, 886),
+        (run_search(lambda: family_free(pow8()), 4), 16, 17_700),
+        (run_search(lambda: family_free(pow7()), 3), 16, 8_348),
+        (run_search(sub52, 2, (1, 2)), 155, 186),
+        (run_search(sub43, 2, (1, 2)), 130, 170),
+        (run_search(sub43, 4, (2, 2)), 10, 0),
+        (run_search(pow8, 4), 16, 0),
+        (run_search(pow7, 3), 16, 0),
+        (lambda: conjecture_probe(3, 4, 2, 4, max_elements=400), 10, 0),
     ],
-    ids=["sub52-d2-w12", "sub43-d2-w12", "sub43-d4-w22", "pow8-d4", "pow7-d3"],
+    ids=["sub52-d2-w12", "sub43-d2-w12", "sub43-d4-w22", "pow8-d4", "pow7-d3",
+         "family-sub52-d2-w12", "family-sub43-d2-w12", "family-sub43-d4-w22",
+         "family-pow8-d4", "family-pow7-d3", "probe-sub43-d4-l2"],
 )
-def test_max_code_pinned_node_counts(build, d, window, best_size, nodes):
-    res = max_code(SearchProblem(build(), d, window))
+def test_max_code_pinned_node_counts(run, best_size, nodes):
+    res = run()
     assert res.proven_optimal
     assert (res.best_size, res.nodes) == (best_size, nodes)
 
@@ -233,8 +270,9 @@ def test_max_code_budget_exhaustion(n5):
 
 
 def test_max_code_deadline_stops_early():
-    # about 8k nodes unbudgeted; the clock is read at the 4096th node
-    res = max_code(SearchProblem(build_powerset_lattice(7), 3, budget_secs=1e-9))
+    # about 8k nodes unbudgeted; the clock is read at the 4096th node.  The
+    # family lattice would be proven at the root, so the rebuild carries none.
+    res = max_code(SearchProblem(family_free(pow7()), 3, budget_secs=1e-9))
     assert not res.proven_optimal
     assert res.nodes == 4096
 
