@@ -1,6 +1,6 @@
 """Singleton-type upper bounds and GV-type lower bounds for lattice schemes.
 
-All bound values are exact integers.  The family variants (power-set,
+All bound values are exact integers.  The family upper bounds (power-set,
 projective) use closed-form Whitney sums and never materialize a lattice;
 the explicit-lattice variant realizes the bound by repeated coatom
 puncturing of the actual lattice.  The anticode bound, which the search
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from . import fq
 from .counting import FAMILIES, binomial, gaussian, whitney_closed_form
 from .lattice import Lattice, window_ids
 
@@ -234,23 +235,30 @@ def gv_lower_values(lat: Lattice, d_values, window: tuple[int, int] | None = Non
     return [-(-len(ids) // vol[min(d - 1, span - 1)]) for d in d_values]
 
 
-def gv_lower(family: str, n: int, d: int, q: int | None = None, max_elements: int | None = None) -> int:
-    """GV-type lower bound for a family.
+def family_gv_values(family: str, n: int, d_values, q: int | None = None,
+                     window: tuple[int, int] | None = None, max_elements: int | None = None) -> list[int]:
+    """The GV-type lower bound of a family lattice for each d in d_values.
 
-    Power-set balls are center-independent, so that family has a closed form;
-    the projective variant materializes the lattice (subject to the cap) and
-    maximizes over centers.
+    Unwindowed power-set balls are Hamming balls, which do not depend on the
+    centre, so those values take a closed form and build nothing.  Every
+    other case builds the lattice once, subject to the element cap (raising
+    CapExceeded above it), and takes all values from one gv_lower_values pass.
     """
     _check_family(family, q)
-    if d < 1:
+    if any(d < 1 for d in d_values):
         raise ValueError("minimum distance must be >= 1")
+    if family == "powerset" and window is None:
+        return [-(-(2**n) // sum(binomial(n, i) for i in range(min(d - 1, n) + 1))) for d in d_values]
     if family == "powerset":
-        vol = sum(binomial(n, i) for i in range(min(d - 1, n) + 1))
-        return -(-(2**n) // vol)
-    from .fq import build_projective_lattice
+        lat = fq.build_powerset_lattice(n, max_elements)
+    else:
+        lat = fq.build_projective_lattice(n, q, max_elements)
+    return gv_lower_values(lat, d_values, window)
 
-    lat = build_projective_lattice(n, q, max_elements)
-    return gv_lower_for_lattice(lat, d)
+
+def gv_lower(family: str, n: int, d: int, q: int | None = None, max_elements: int | None = None) -> int:
+    """GV-type lower bound for a family: family_gv_values for one d, no window."""
+    return family_gv_values(family, n, [d], q, None, max_elements)[0]
 
 
 # --- report rows ---------------------------------------------------------------

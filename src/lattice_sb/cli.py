@@ -43,6 +43,9 @@ def _emit(text: str, output: str | None):
 # --- lattice sources ---------------------------------------------------------
 
 
+_SOURCES = ("name", "powerset", "projective", "lattice")
+
+
 def _add_source(p: argparse.ArgumentParser):
     p.add_argument("--name", metavar="NAME", help="named lattice: M3, N5, L1 or L2")
     p.add_argument("--powerset", type=int, nargs="?", const=True, metavar="N",
@@ -51,22 +54,27 @@ def _add_source(p: argparse.ArgumentParser):
     p.add_argument("-q", type=int, default=2, help="field size (prime, default 2)")
     p.add_argument("-n", type=int, help="ambient dimension / ground-set size")
     p.add_argument("--lattice", metavar="PATH", help="lattice JSON file")
-    p.add_argument("--max-elements", type=int, default=None,
-                   help="materialization cap override (also LATTICE_SB_MAX_ELEMENTS)")
+
+
+def _pick_source(args) -> str:
+    """The one source flag given, out of those of _SOURCES the command takes."""
+    offered = [s for s in _SOURCES if hasattr(args, s)]
+    picked = [s for s in offered if getattr(args, s) is not None]
+    if len(picked) != 1:
+        raise lt.LatticeError("pick exactly one of " + ", ".join(f"--{s}" for s in offered))
+    return picked[0]
 
 
 def _resolve_source(args) -> lt.Lattice:
-    picked = [s for s in ("name", "powerset", "projective", "lattice") if getattr(args, s) is not None]
-    if len(picked) != 1:
-        raise lt.LatticeError("pick exactly one of --name, --powerset, --projective, --lattice")
-    if args.name is not None:
+    source = _pick_source(args)
+    if source == "name":
         return fq.build_named_lattice(args.name, args.max_elements)
-    if args.powerset is not None:
+    if source == "powerset":
         bare = args.powerset is True  # N comes from -n
         if bare == (args.n is None):
             raise lt.LatticeError("give N once: --powerset N or --powerset -n N")
         return fq.build_powerset_lattice(args.n if bare else args.powerset, args.max_elements)
-    if args.projective:
+    if source == "projective":
         if args.n is None:
             raise lt.LatticeError("--projective needs -n")
         return fq.build_projective_lattice(args.n, args.q, args.max_elements)
@@ -95,53 +103,43 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-# --- bounds --------------------------------------------------------------------
+# --- bounds and fig5 ------------------------------------------------------------
 
 
-def _range_values(args, single: str, lo_flag: str, hi_flag: str, what: str) -> list[int]:
-    single_v = getattr(args, single)
-    lo = getattr(args, lo_flag)
-    hi = getattr(args, hi_flag)
-    if single_v is not None:
+def _range_values(single: int | None, lo: int | None, hi: int | None, flag: str) -> list[int]:
+    """The values of one table axis: [single] (-d), or lo..hi (--d-min/--d-max)."""
+    if single is not None:
         if lo is not None or hi is not None:
-            raise lt.LatticeError(f"give either -{single} or a --{what}-min/--{what}-max range")
-        return [single_v]
+            raise lt.LatticeError(f"give either -{flag} or a --{flag}-min/--{flag}-max range")
+        return [single]
     if lo is None or hi is None or hi < lo:
-        raise lt.LatticeError(f"need -{single} or a valid --{what}-min/--{what}-max range")
+        raise lt.LatticeError(f"need -{flag} or a valid --{flag}-min/--{flag}-max range")
     return list(range(lo, hi + 1))
 
 
-def cmd_bounds(args) -> int:
-    window = tuple(args.window) if args.window else None
-    m, M = window or (None, None)
-    d_values = _range_values(args, "d", "d_min", "d_max", "d")
+def _check_table(d_values, window, n_values=(), q: int | None = None):
+    """The input errors of a bound table, raised before any row is computed."""
     if min(d_values) < 1:
         raise ValueError("minimum distance must be >= 1")
-    if window and not 0 <= m <= M:
-        raise ValueError(f"invalid height window {m} {M}: need 0 <= m <= M")
-    n_low = args.n if args.n is not None else args.n_min
-    if n_low is not None and n_low < 0:
-        raise ValueError(f"n must be >= 0, got {n_low}")
-    reports: list[bnd.BoundReport] = []
-
-    if args.lattice:
-        lat = _load_json(args)
-        gvs = bnd.gv_lower_values(lat, d_values, window)
-        lsbs = bnd.lsb_values(lat, d_values, window)
-        for d, value, gv in zip(d_values, lsbs, gvs):
-            reports.append(bnd.BoundReport("lattice", None, lat.total_height(), d, m, M, value, gv))
-        _emit(bnd.render_report_csv(reports), args.output)
-        return EXIT_OK
-
-    if args.powerset:
-        family, q = "powerset", None
-    elif args.projective:
-        family, q = "projective", args.q
+    if window and not 0 <= window[0] <= window[1]:
+        raise ValueError(f"invalid height window {window[0]} {window[1]}: need 0 <= m <= M")
+    if n_values and n_values[0] < 0:
+        raise ValueError(f"n must be >= 0, got {n_values[0]}")
+    if q is not None:
         fq.check_field(q)
-    else:
-        raise lt.LatticeError("pick a family: --powerset, --projective, or --lattice PATH")
-    n_values = _range_values(args, "n", "n_min", "n_max", "n")
 
+
+def _family_reports(family: str, q: int | None, n_values, d_values, window=None,
+                    max_elements: int | None = None) -> list[bnd.BoundReport]:
+    """The rows of a family bound table, one per (n, d) that fits n.
+
+    Input errors raise before any row.  A row that does not fit its n (alpha
+    or the window's top above n) is skipped with a warning on stderr, and the
+    GV cells of an n whose lattice is over the element cap are left blank.
+    """
+    _check_table(d_values, window, n_values, q)
+    m, M = window or (None, None)
+    reports = []
     for n in n_values:
         rows = []  # (d, lsb value) of the rows kept for this n
         for d in d_values:
@@ -151,33 +149,34 @@ def cmd_bounds(args) -> int:
                 print(f"warning: skipping n={n} d={d} ({e})", file=sys.stderr)
         if not rows:
             continue
-        gvs = _family_gv(family, q, n, [d for d, _ in rows], window, args.max_elements)
+        try:
+            gvs = bnd.family_gv_values(family, n, [d for d, _ in rows], q, window, max_elements)
+        except lt.CapExceeded:
+            gvs = [None] * len(rows)
         for (d, value), gv in zip(rows, gvs):
             reports.append(bnd.BoundReport(family, q, n, d, m, M, value, gv))
+    return reports
+
+
+def cmd_bounds(args) -> int:
+    source = _pick_source(args)
+    window = tuple(args.window) if args.window else None
+    d_values = _range_values(args.d, args.d_min, args.d_max, "d")
+    if source == "lattice":
+        n_low = args.n if args.n is not None else args.n_min  # unused here, but still an input
+        _check_table(d_values, window, () if n_low is None else [n_low])
+        lat = _load_json(args)
+        m, M = window or (None, None)
+        gvs = bnd.gv_lower_values(lat, d_values, window)
+        lsbs = bnd.lsb_values(lat, d_values, window)
+        reports = [bnd.BoundReport("lattice", None, lat.total_height(), d, m, M, value, gv)
+                   for d, value, gv in zip(d_values, lsbs, gvs)]
+    else:
+        q = args.q if source == "projective" else None
+        n_values = _range_values(args.n, args.n_min, args.n_max, "n")
+        reports = _family_reports(source, q, n_values, d_values, window, args.max_elements)
     _emit(bnd.render_report_csv(reports), args.output)
     return EXIT_OK
-
-
-def _family_gv(family: str, q: int | None, n: int, d_values, window, max_elements) -> list[int | None]:
-    """The GV cells of one n of a family table, None above the element cap.
-
-    One lattice, and one pass over its pairs, serves every d.  Only the
-    unwindowed power-set cells take the Hamming closed form, which needs no
-    lattice: Hamming balls do not depend on the centre.
-    """
-    if family == "powerset" and window is None:
-        return [bnd.gv_lower(family, n, d) for d in d_values]
-    try:
-        if family == "powerset":
-            lat = fq.build_powerset_lattice(n, max_elements)
-        else:
-            lat = fq.build_projective_lattice(n, q, max_elements)
-    except lt.CapExceeded:
-        return [None] * len(d_values)
-    return bnd.gv_lower_values(lat, d_values, window)
-
-
-# --- fig5 ----------------------------------------------------------------------
 
 
 def _load_overlay(path: str) -> dict[str, dict[int, str]]:
@@ -199,12 +198,10 @@ def _load_overlay(path: str) -> dict[str, dict[int, str]]:
 
 
 def fig5_rows(q: int, d: int, n_lo: int, n_hi: int, max_elements: int | None = None):
-    """(n, bound, gv-or-None) rows; gv only where the lattice is materializable."""
-    rows = []
-    for n in range(n_lo, n_hi + 1):
-        gv = _family_gv("projective", q, n, [d], None, max_elements)[0]
-        rows.append((n, bnd.lsb("projective", n, d, q), gv))
-    return rows
+    """(n, bound, gv-or-None) rows: the `bounds --projective` rows for one d."""
+    reports = _family_reports("projective", q, _range_values(None, n_lo, n_hi, "n"), [d],
+                              max_elements=max_elements)
+    return [(r.n, r.lsb_value, r.gv_value) for r in reports]
 
 
 _PLOT_SCRIPT = """\
@@ -238,8 +235,8 @@ print("wrote", {png!r})
 
 
 def cmd_fig5(args) -> int:
-    rows = fig5_rows(args.q, args.d, args.n_min, args.n_max, args.max_elements)
     overlay = _load_overlay(args.overlay) if args.overlay else {}
+    rows = fig5_rows(args.q, args.d, args.n_min, args.n_max, args.max_elements)
     labels = sorted(overlay)
     header = ["n", "lsb_log2", "gv_lower_log2"] + labels
     lines = [",".join(header)]
@@ -251,13 +248,10 @@ def cmd_fig5(args) -> int:
     csv_text = "\n".join(lines) + "\n"
     _emit(csv_text, args.output)
 
-    script_path = args.plot_script
-    if script_path is None and args.output:
-        script_path = re.sub(r"\.csv$", "", args.output) + ".plot.py"
-    if script_path:
-        csv_name = args.output if args.output else "fig5.csv"
-        png = re.sub(r"\.csv$", "", csv_name) + ".png"
-        _write(script_path, _PLOT_SCRIPT.format(csv=csv_name, labels=labels, png=png))
+    if args.output:
+        stem = re.sub(r"\.csv$", "", args.output)
+        script_path = stem + ".plot.py"
+        _write(script_path, _PLOT_SCRIPT.format(csv=args.output, labels=labels, png=stem + ".png"))
         print(f"plot script: {script_path}", file=sys.stderr)
     return EXIT_OK
 
@@ -356,15 +350,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite-lattice coding workbench: schemes, Singleton-type bounds, exhaustive search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the flags every subcommand takes
+    common.add_argument("-o", "--output", metavar="PATH")
+    common.add_argument("--max-elements", type=int, default=None,
+                        help="materialization cap override (also LATTICE_SB_MAX_ELEMENTS)")
 
-    p = sub.add_parser("check", help="validate a lattice and print its classification")
+    p = sub.add_parser("check", parents=[common], help="validate a lattice and print its classification")
     _add_source(p)
-    p.add_argument("-o", "--output", metavar="PATH")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("bounds", help="bound table as CSV")
-    p.add_argument("--powerset", action="store_true", help="power-set family")
-    p.add_argument("--projective", action="store_true", help="projective family")
+    p = sub.add_parser("bounds", parents=[common], help="bound table as CSV")
+    p.add_argument("--powerset", action="store_true", default=None, help="power-set family")
+    p.add_argument("--projective", action="store_true", default=None, help="projective family")
     p.add_argument("--lattice", metavar="PATH", help="explicit lattice JSON")
     p.add_argument("-q", type=int, default=2)
     p.add_argument("-n", type=int)
@@ -375,22 +372,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-max", type=int)
     p.add_argument("--window", type=int, nargs=2, metavar=("M_LO", "M_HI"),
                    help="height window for the tightened bound")
-    p.add_argument("--max-elements", type=int, default=None)
-    p.add_argument("-o", "--output", metavar="PATH")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("fig5", help="bound-vs-lower-bound curve data (CSV) plus a plot script")
+    p = sub.add_parser("fig5", parents=[common],
+                       help="bound-vs-lower-bound curve data (CSV), plus a plot script next to -o")
     p.add_argument("-q", type=int, default=2)
     p.add_argument("-d", type=int, default=4)
     p.add_argument("--n-min", type=int, default=4)
     p.add_argument("--n-max", type=int, default=20)
     p.add_argument("--overlay", metavar="PATH", help="CSV with header label,n,log2size")
-    p.add_argument("--plot-script", metavar="PATH")
-    p.add_argument("--max-elements", type=int, default=None)
-    p.add_argument("-o", "--output", metavar="PATH")
     p.set_defaults(func=cmd_fig5)
 
-    p = sub.add_parser("scheme", help="min distance / puncture / puncture-project a scheme file")
+    p = sub.add_parser("scheme", parents=[common],
+                       help="min distance / puncture / puncture-project a scheme file")
     p.add_argument("action", choices=["mindist", "puncture", "puncture-project"])
     p.add_argument("file", metavar="SCHEME_FILE")
     p.add_argument("--w", metavar="ELEMENT", help="puncturing element (binary string or subspace rows)")
@@ -398,22 +392,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="read lines as binary codewords (support transform)")
     p.add_argument("--policy", choices=list(sch.CHOOSER_POLICIES), default="least")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-elements", type=int, default=None)
-    p.add_argument("-o", "--output", metavar="PATH")
     p.set_defaults(func=cmd_scheme)
 
-    p = sub.add_parser("search", help="exhaustive maximum-scheme search (JSON report)")
+    p = sub.add_parser("search", parents=[common], help="exhaustive maximum-scheme search (JSON report)")
     _add_source(p)
     p.add_argument("-d", type=int, required=True)
     p.add_argument("--window", type=int, nargs=2, metavar=("M_LO", "M_HI"))
     p.add_argument("--budget-nodes", type=int, default=10_000_000)
     p.add_argument("--budget-secs", type=float, default=60.0)
-    p.add_argument("-o", "--output", metavar="PATH")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("export-dot", help="Hasse diagram as DOT")
+    p = sub.add_parser("export-dot", parents=[common], help="Hasse diagram as DOT")
     _add_source(p)
-    p.add_argument("-o", "--output", metavar="PATH")
     p.set_defaults(func=cmd_export_dot)
 
     return parser

@@ -20,11 +20,10 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .counting import gaussian
 from .lattice import (
-    CapExceeded,
     Lattice,
     LatticeError,
     build_lattice,
-    element_cap,
+    check_cap,
     iter_bits,
     sublattice_closure,
     with_names,
@@ -229,12 +228,7 @@ def build_powerset_lattice(n: int, max_elements: int | None = None) -> Lattice:
     if n < 0 or n > 20:
         raise ValueError("power-set lattice supported for 0 <= n <= 20")
     size = 1 << n
-    cap = element_cap(max_elements)
-    if size > cap:
-        raise CapExceeded(
-            f"power-set lattice on {n} points has {size} elements; cap is {cap} "
-            f"(raise via max_elements or LATTICE_SB_MAX_ELEMENTS)"
-        )
+    check_cap(size, f"power-set lattice on {n} points", max_elements)
     names = ["{" + ",".join(str(i + 1) for i in iter_bits(s)) + "}" for s in range(size)]
     covers = [(s, s | (1 << i)) for s in range(size) for i in range(n) if not (s >> i) & 1]
     lat = build_lattice(names, covers)
@@ -254,12 +248,7 @@ def build_projective_lattice(n: int, q: int, max_elements: int | None = None) ->
     if n < 1:
         raise ValueError("ambient dimension must be >= 1")
     size = sum(gaussian(n, k, q) for k in range(n + 1))
-    cap = element_cap(max_elements)
-    if size > cap:
-        raise CapExceeded(
-            f"Sub(F_{q}^{n}) has {size} elements; cap is {cap} "
-            f"(raise via max_elements or LATTICE_SB_MAX_ELEMENTS)"
-        )
+    check_cap(size, f"Sub(F_{q}^{n})", max_elements)
     subs = list(all_subspaces(n, q))
     masks = _vector_masks(subs)
     by_dim: list[list[int]] = [[] for _ in range(n + 1)]

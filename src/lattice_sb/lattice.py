@@ -63,6 +63,17 @@ def element_cap(max_elements: int | None = None) -> int:
     return DEFAULT_MAX_ELEMENTS
 
 
+def check_cap(size: int, what: str, max_elements: int | None):
+    """Raise CapExceeded when `what`, a lattice of `size` elements, is over
+    element_cap(max_elements)."""
+    cap = element_cap(max_elements)
+    if size > cap:
+        raise CapExceeded(
+            f"{what} has {size} elements; cap is {cap} "
+            f"(raise via max_elements or LATTICE_SB_MAX_ELEMENTS)"
+        )
+
+
 def iter_bits(mask: int):
     """Yield the set bit positions of mask, ascending."""
     while mask:
@@ -467,12 +478,7 @@ def from_json(text: str, max_elements: int | None = None) -> Lattice:
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise LatticeError('"elements" must be a list of names')
     if max_elements is not None:
-        cap = element_cap(max_elements)
-        if len(elements) > cap:
-            raise CapExceeded(
-                f"lattice JSON has {len(elements)} elements; cap is {cap} "
-                f"(raise via max_elements or LATTICE_SB_MAX_ELEMENTS)"
-            )
+        check_cap(len(elements), "lattice JSON", max_elements)
     if not isinstance(covers, list):
         raise LatticeError('"covers" must be a list of [lower, upper] pairs')
     for c in covers:

@@ -228,20 +228,22 @@ def max_code(problem: SearchProblem) -> SearchResult:
 
 
 def greedy_code(lat: Lattice, d: int, seed: int | None = None, window=None) -> Scheme:
-    """Greedy maximal packing; meets the GV-type lower bound by maximality."""
+    """Greedy maximal packing; meets the GV-type lower bound by maximality.
+
+    Takes the window in the search's vertex order (height, then id), or in
+    that order shuffled by seed.
+    """
     if d < 1:
         raise ValueError("minimum distance must be >= 1")
     ids = window_ids(lat, window)
     if not ids:
         raise ValueError("empty height window")
-    order = sorted(ids, key=lambda x: (lat.heights[x], x))
+    verts, adj = _build_graph(lat, d, ids)
+    order = list(range(len(verts)))
     if seed is not None:
         random.Random(seed).shuffle(order)
-    chosen: list[int] = []
-    for x in order:
-        if all(lat.distance(x, y) >= d for y in chosen):
-            chosen.append(x)
-    return make_scheme(lat, chosen)
+    mask, _ = _greedy_mask(adj, order)
+    return make_scheme(lat, [verts[i] for i in iter_bits(mask)])
 
 
 class ProbeRow(NamedTuple):

@@ -13,7 +13,9 @@ from lattice_sb import (
     build_named_lattice,
     build_powerset_lattice,
     build_projective_lattice,
+    CapExceeded,
     classical_singleton,
+    family_gv_values,
     gaussian,
     gv_lower,
     gv_lower_for_lattice,
@@ -381,6 +383,33 @@ def test_gv_lower_values_match_per_d(name, request):
     assert gv_lower_values(lat, [3, 1, 3]) == [ref_gv_lower(lat, d) for d in (3, 1, 3)]
     with pytest.raises(ValueError):
         gv_lower_values(lat, [2, 0])
+
+
+@pytest.mark.parametrize("family,q,ns", [("powerset", None, range(6)), ("projective", 2, range(1, 5))])
+def test_family_gv_values_match_built_lattice(family, q, ns):
+    """The family rule, closed form or built lattice, gives the GV values of
+    the lattice it names, on every window of 2^[n], n <= 5, and Sub(F_2^n), n <= 4."""
+    for n in ns:
+        lat = build_powerset_lattice(n) if family == "powerset" else build_projective_lattice(n, q)
+        ds = list(range(1, 2 * n + 2))
+        windows = [None] + [(lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1)]
+        for window in windows:
+            assert family_gv_values(family, n, ds, q, window) == gv_lower_values(lat, ds, window), (n, window)
+        assert [gv_lower(family, n, d, q) for d in ds] == gv_lower_values(lat, ds), n
+
+
+def test_family_gv_values_cap_and_input_errors():
+    assert family_gv_values("powerset", 8, [3]) == [gv_lower("powerset", 8, 3)]  # closed form, no cap
+    with pytest.raises(CapExceeded):
+        family_gv_values("powerset", 8, [3], window=(1, 1))
+    with pytest.raises(CapExceeded):
+        family_gv_values("projective", 5, [2, 3], 2)
+    assert family_gv_values("projective", 5, [2, 3], 2, max_elements=400) == [
+        gv_lower("projective", 5, d, 2, 400) for d in (2, 3)]
+    with pytest.raises(ValueError):
+        family_gv_values("powerset", 4, [2, 0])
+    with pytest.raises(ValueError):
+        family_gv_values("projective", 3, [2])  # no q
 
 
 # --- report layer ----------------------------------------------------------------------

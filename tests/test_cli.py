@@ -301,6 +301,16 @@ def test_bounds_needs_family(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("sources", [("--powerset", "--projective"), ("--lattice", "F.json", "--powerset")])
+def test_bounds_needs_exactly_one_source(capsys, tmp_path, monkeypatch, sources):
+    # two sources are an input error, not a table of whichever comes first
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F.json").write_text(to_json(build_powerset_lattice(3)))
+    code, out, err = run(capsys, "bounds", *sources, "-n", "3", "-d", "2")
+    assert code == 2 and out == ""
+    assert err == "error: pick exactly one of --powerset, --projective, --lattice\n"
+
+
 def test_bounds_rejects_conflicting_d(capsys):
     code, _, err = run(
         capsys, "bounds", "--powerset", "-n", "4", "-d", "3", "--d-min", "1", "--d-max", "2"
@@ -391,6 +401,49 @@ def test_fig5_writes_plot_script(capsys, tmp_path):
     text = script.read_text()
     assert "matplotlib" in text
     assert str(out_csv) in text
+
+
+def test_fig5_skips_rows_that_do_not_fit_n(capsys):
+    # like bounds: alpha = 2 does not fit n = 1, so that row is skipped, not an error
+    code, out, err = run(capsys, "fig5", "--n-min", "1", "--n-max", "5", "-d", "6")
+    assert code == 0
+    assert err == "warning: skipping n=1 d=6 (puncture budget 2 exceeds lattice height 1)\n"
+    assert [line.split(",")[0] for line in out.strip().split("\n")[1:]] == ["2", "3", "4", "5"]
+
+
+def test_fig5_rejects_inverted_range(capsys):
+    code, out, err = run(capsys, "fig5", "--n-min", "5", "--n-max", "4")
+    assert code == 2 and out == ""
+    assert err == "error: need -n or a valid --n-min/--n-max range\n"
+
+
+def test_fig5_writes_no_file_without_output(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "fig5", "--n-min", "4", "--n-max", "5")
+    assert code == 0 and out.startswith("n,lsb_log2,gv_lower_log2\n") and err == ""
+    with pytest.raises(SystemExit) as exc:  # a script goes only next to -o
+        main(["fig5", "--n-min", "4", "--n-max", "5", "--plot-script", "fig5.plot.py"])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("cap", [None, "400"])
+def test_fig5_is_the_projective_bounds_table(capsys, q, cap):
+    """fig5's CSV and warnings are the log2 columns and warnings of
+    `bounds --projective` at each d."""
+    cap_args = ("--max-elements", cap) if cap else ()
+    code, table, table_err = run(capsys, "bounds", "--projective", "-q", str(q), "--n-min", "1",
+                                 "--n-max", "7", "--d-min", "1", "--d-max", "6", *cap_args)
+    assert code == 0
+    cells = [line.split(",") for line in table.strip().split("\n")[1:]]
+    for d in range(1, 7):
+        code, out, err = run(capsys, "fig5", "-q", str(q), "-d", str(d), "--n-min", "1",
+                             "--n-max", "7", *cap_args)
+        assert code == 0
+        want = [f"{c[2]},{c[7]},{c[9]}" for c in cells if c[3] == str(d)]
+        assert out == "\n".join(["n,lsb_log2,gv_lower_log2"] + want) + "\n", d
+        assert err.splitlines() == [w for w in table_err.splitlines() if f" d={d} " in w], d
 
 
 def test_fig5_overlay(capsys, tmp_path):

@@ -12,6 +12,7 @@ from lattice_sb import (
     NotALatticeError,
     build_lattice,
     build_powerset_lattice,
+    build_projective_lattice,
     classify,
     from_json,
     sublattice_closure,
@@ -19,6 +20,7 @@ from lattice_sb import (
     to_json,
     with_names,
 )
+from lattice_sb.lattice import check_cap
 
 CHAIN3 = (["a", "b", "c"], [(0, 1), (1, 2)])
 
@@ -294,3 +296,20 @@ def test_from_json_cap(monkeypatch, pow3):
         from_json(text, max_elements=7)
     assert len(from_json(text, max_elements=8)) == 8
     assert len(from_json(text)) == 8  # no cap unless one is given
+
+
+def test_check_cap_message_is_shared(monkeypatch, pow3):
+    """Every capped builder raises the one check_cap message, byte for byte."""
+    monkeypatch.delenv("LATTICE_SB_MAX_ELEMENTS", raising=False)
+    check_cap(7, "seven", 7)  # at the cap is within it
+    raise_hint = "(raise via max_elements or LATTICE_SB_MAX_ELEMENTS)"
+    cases = [
+        (lambda: check_cap(8, "eight", 7), "eight has 8 elements; cap is 7"),
+        (lambda: build_powerset_lattice(3, 7), "power-set lattice on 3 points has 8 elements; cap is 7"),
+        (lambda: build_projective_lattice(2, 2, 4), "Sub(F_2^2) has 5 elements; cap is 4"),
+        (lambda: from_json(to_json(pow3), 7), "lattice JSON has 8 elements; cap is 7"),
+    ]
+    for call, message in cases:
+        with pytest.raises(CapExceeded) as exc:
+            call()
+        assert str(exc.value) == f"{message} {raise_hint}"

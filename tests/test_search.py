@@ -315,6 +315,30 @@ def test_greedy_window(sub3):
     assert s.size == 7
 
 
+def reference_greedy(lat, d, seed=None, window=None):
+    """The greedy packing by a direct distance loop over the vertex order."""
+    order = sorted(window_ids(lat, window), key=lambda x: (lat.heights[x], x))
+    if seed is not None:
+        random.Random(seed).shuffle(order)
+    chosen = []
+    for x in order:
+        if all(lat.distance(x, y) >= d for y in chosen):
+            chosen.append(x)
+    return sorted(chosen)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_LATTICES))
+def test_greedy_matches_distance_loop(name):
+    lat = ORACLE_LATTICES[name]()
+    h = lat.total_height()
+    windows = [None] + list(itertools.combinations_with_replacement(range(h + 1), 2))
+    for d in range(1, 2 * h + 1):
+        for window in windows:
+            for seed in (None, 0, 1, 7):
+                got = greedy_code(lat, d, seed, window).sorted_members()
+                assert got == reference_greedy(lat, d, seed, window), (d, window, seed)
+
+
 # --- probe --------------------------------------------------------------------------
 
 
