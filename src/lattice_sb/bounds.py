@@ -36,6 +36,12 @@ def _check_family(family: str, q: int | None):
         raise ValueError("projective family needs q")
 
 
+def check_window(window: tuple[int, int] | None, height: int):
+    """Raise ValueError unless the window [m, M] lies within heights 0..height."""
+    if window is not None and not 0 <= window[0] <= window[1] <= height:
+        raise ValueError("need 0 <= m <= M <= n")
+
+
 def _budget(d: int, distributive: bool, height: int, window: tuple[int, int] | None = None):
     """(alpha, lo, hi): the punctures the bound takes and the heights it counts.
 
@@ -49,8 +55,7 @@ def _budget(d: int, distributive: bool, height: int, window: tuple[int, int] | N
     distance <= 2M < d.
     Raises ValueError unless 0 <= m <= M <= height and alpha <= height.
     """
-    if window is not None and not 0 <= window[0] <= window[1] <= height:
-        raise ValueError("need 0 <= m <= M <= n")
+    check_window(window, height)
     a = puncture_budget(d, distributive and window is None)
     if a > height:
         raise ValueError(f"puncture budget {a} exceeds lattice height {height}")
@@ -163,8 +168,7 @@ def anticode_bound(family: str, n: int, d: int, q: int | None = None,
         raise ValueError("n must be >= 0")
     if d < 1:
         raise ValueError("minimum distance must be >= 1")
-    if window is not None and not 0 <= window[0] <= window[1] <= n:
-        raise ValueError("need 0 <= m <= M <= n")
+    check_window(window, n)
     D = d - 1
     if family == "powerset" and window in (None, (0, n)):
         r = D // 2

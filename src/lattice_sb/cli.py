@@ -163,8 +163,9 @@ def cmd_bounds(args) -> int:
     window = tuple(args.window) if args.window else None
     d_values = _range_values(args.d, args.d_min, args.d_max, "d")
     if source == "lattice":
-        n_low = args.n if args.n is not None else args.n_min  # unused here, but still an input
-        _check_table(d_values, window, () if n_low is None else [n_low])
+        if (args.n, args.n_min, args.n_max) != (None, None, None):
+            raise lt.LatticeError("--lattice takes no -n, --n-min or --n-max (n is its height)")
+        _check_table(d_values, window)
         lat = _load_json(args)
         m, M = window or (None, None)
         gvs = bnd.gv_lower_values(lat, d_values, window)
@@ -260,8 +261,7 @@ def cmd_fig5(args) -> int:
 
 
 def cmd_scheme(args) -> int:
-    text = _read(args.file)
-    s = sch.parse_scheme_text(text, as_code=args.as_code, max_elements=args.max_elements)
+    s = sch.parse_scheme_text(_read(args.file), args.max_elements)
     if args.action == "mindist":
         d = sch.min_distance(s)  # singleton -> ValueError -> exit 2
         out = [
@@ -274,7 +274,7 @@ def cmd_scheme(args) -> int:
 
     if args.w is None:
         raise lt.LatticeError(f"{args.action} needs --w")
-    w = sch.parse_element(text, args.w, s.lattice)
+    w = sch.parse_element(args.w, s.lattice)
     if args.action == "puncture":
         after = sch.puncture(s, w)
     else:
@@ -302,6 +302,7 @@ def _num(v) -> str:
 def cmd_search(args) -> int:
     lat = _resolve_source(args)
     window = tuple(args.window) if args.window else None
+    bnd.check_window(window, lat.total_height())  # before the distance graph is built
     problem = srch.SearchProblem(lat, args.d, window, args.budget_nodes, args.budget_secs)
     res = srch.max_code(problem)
 
@@ -353,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)  # the flags every subcommand takes
     common.add_argument("-o", "--output", metavar="PATH")
     common.add_argument("--max-elements", type=int, default=None,
-                        help="materialization cap override (also LATTICE_SB_MAX_ELEMENTS)")
+                        help=f"materialization cap (default {lt.DEFAULT_MAX_ELEMENTS})")
 
     p = sub.add_parser("check", parents=[common], help="validate a lattice and print its classification")
     _add_source(p)
@@ -388,8 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["mindist", "puncture", "puncture-project"])
     p.add_argument("file", metavar="SCHEME_FILE")
     p.add_argument("--w", metavar="ELEMENT", help="puncturing element (binary string or subspace rows)")
-    p.add_argument("--as-code", action="store_true",
-                   help="read lines as binary codewords (support transform)")
     p.add_argument("--policy", choices=list(sch.CHOOSER_POLICIES), default="least")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_scheme)

@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .counting import gaussian
 from .lattice import (
+    CapExceeded,
     Lattice,
     LatticeError,
     build_lattice,
@@ -223,10 +224,12 @@ def subspace_from_text(text: str, ambient: int, q: int) -> Subspace:
 def build_powerset_lattice(n: int, max_elements: int | None = None) -> Lattice:
     """The lattice of subsets of {1..n}; element ids are subset bitmasks.
 
-    The result records its family as ("powerset", n, None).
+    The result records its family as ("powerset", n, None).  n above 20 is
+    over every cap, so it raises CapExceeded whatever max_elements says.
     """
-    if n < 0 or n > 20:
-        raise ValueError("power-set lattice supported for 0 <= n <= 20")
+    if not 0 <= n <= 20:
+        error = ValueError if n < 0 else CapExceeded
+        raise error("power-set lattice supported for 0 <= n <= 20")
     size = 1 << n
     check_cap(size, f"power-set lattice on {n} points", max_elements)
     names = ["{" + ",".join(str(i + 1) for i in iter_bits(s)) + "}" for s in range(size)]
@@ -242,11 +245,12 @@ def build_projective_lattice(n: int, q: int, max_elements: int | None = None) ->
     Ids follow all_subspaces(n, q) order, so height equals dimension, and
     the name of an element is subspace_name of its subspace.  Covers join
     subspaces of consecutive dimensions whose vector masks are nested.  The
-    result records its family as ("projective", n, q).
+    result records its family as ("projective", n, q); n = 0 gives the
+    one-element lattice of the zero space.
     """
     check_field(q)
-    if n < 1:
-        raise ValueError("ambient dimension must be >= 1")
+    if n < 0:
+        raise ValueError("ambient dimension must be >= 0")
     size = sum(gaussian(n, k, q) for k in range(n + 1))
     check_cap(size, f"Sub(F_{q}^{n})", max_elements)
     subs = list(all_subspaces(n, q))

@@ -16,12 +16,10 @@ the builders set it (and with_names keeps it).
 from __future__ import annotations
 
 import json
-import os
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 DEFAULT_MAX_ELEMENTS = 128
-ENV_MAX_ELEMENTS = "LATTICE_SB_MAX_ELEMENTS"
 
 
 class LatticeError(ValueError):
@@ -41,26 +39,16 @@ class CapExceeded(LatticeError):
 
 
 def element_cap(max_elements: int | None = None) -> int:
-    """Effective materialization cap: explicit arg, else env var, else default.
+    """Effective materialization cap: max_elements, else DEFAULT_MAX_ELEMENTS.
 
     Raises:
-        LatticeError: the env var is not an integer, or either value is
-            negative (an input error, not a cap hit).
+        LatticeError: max_elements is negative (an input error, not a cap hit).
     """
-    if max_elements is not None:
-        if max_elements < 0:
-            raise LatticeError(f"max_elements (--max-elements) must be >= 0, got {max_elements}")
-        return max_elements
-    raw = os.environ.get(ENV_MAX_ELEMENTS)
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise LatticeError(f"{ENV_MAX_ELEMENTS} must be an integer, got {raw!r}") from None
-        if cap < 0:
-            raise LatticeError(f"{ENV_MAX_ELEMENTS} must be >= 0, got {raw!r}")
-        return cap
-    return DEFAULT_MAX_ELEMENTS
+    if max_elements is None:
+        return DEFAULT_MAX_ELEMENTS
+    if max_elements < 0:
+        raise LatticeError(f"max_elements (--max-elements) must be >= 0, got {max_elements}")
+    return max_elements
 
 
 def check_cap(size: int, what: str, max_elements: int | None):
@@ -68,10 +56,7 @@ def check_cap(size: int, what: str, max_elements: int | None):
     element_cap(max_elements)."""
     cap = element_cap(max_elements)
     if size > cap:
-        raise CapExceeded(
-            f"{what} has {size} elements; cap is {cap} "
-            f"(raise via max_elements or LATTICE_SB_MAX_ELEMENTS)"
-        )
+        raise CapExceeded(f"{what} has {size} elements; cap is {cap} (raise via max_elements)")
 
 
 def iter_bits(mask: int):

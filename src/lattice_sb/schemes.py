@@ -197,38 +197,25 @@ def verify_transform(codewords, code_distance: Callable, transform: Callable, la
 _HEADER_RE = re.compile(r"q=(\d+)\s+n=(\d+)$")
 
 
-def _scheme_lines(text: str) -> tuple[list[str], tuple[int, int] | None]:
-    """The member lines of a scheme file and its (q, n) header, or None for
-    a power-set file, which has no header."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise LatticeError("empty scheme file")
-    m = _HEADER_RE.match(lines[0])
-    if m is None:
-        return lines, None
-    return lines[1:], (int(m.group(1)), int(m.group(2)))
-
-
-def parse_scheme_text(text: str, as_code: bool = False, max_elements: int | None = None) -> Scheme:
+def parse_scheme_text(text: str, max_elements: int | None = None) -> Scheme:
     """Parse a scheme file.
 
     Projective files start with a "q=<q> n=<n>" header followed by subspace
     rows like "101/011"; power-set files are bare binary strings, one subset
-    per line.  A binary codeword line and a subset line denote the same
-    element (the support of the characteristic vector), so `as_code` changes
-    the reading, not the result; it is rejected for projective files.
+    per line (the support of a binary codeword).
     """
-    lines, header = _scheme_lines(text)
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise LatticeError("empty scheme file")
+    header = _HEADER_RE.match(lines[0])
     if header:
-        if as_code:
-            raise LatticeError("--as-code applies to binary vector files only")
-        q, n = header
-        if not lines:
+        q, n = int(header.group(1)), int(header.group(2))
+        if len(lines) == 1:
             raise LatticeError("projective scheme file has no members")
         lat = build_projective_lattice(n, q, max_elements)
         ids = set()
-        for ln in lines:
+        for ln in lines[1:]:
             try:
                 sub = subspace_from_text(ln, n, q)
             except ValueError as e:
@@ -244,36 +231,28 @@ def parse_scheme_text(text: str, as_code: bool = False, max_elements: int | None
     return make_scheme(lat, ids)
 
 
-def parse_element(text: str, w_desc: str, lat: Lattice) -> int:
-    """The id in lat of an element written in the notation of scheme file
-    `text`: subspace rows for a projective file, a binary string as wide as
-    the lines of a power-set file."""
-    lines, header = _scheme_lines(text)
-    if header:
-        q, n = header
+def _family(lat: Lattice) -> tuple[str, int, int | None]:
+    if lat.family is None:
+        raise ValueError("scheme text needs a power-set or projective family lattice")
+    return lat.family
+
+
+def parse_element(w_desc: str, lat: Lattice) -> int:
+    """The id in lat, a family lattice, of an element in scheme-file
+    notation: subspace rows for Sub(F_q^n), n binary digits for 2^[n]."""
+    family, n, q = _family(lat)
+    if family == "projective":
         return subspace_id(lat, subspace_from_text(w_desc, n, q))
-    n = len(lines[0])
     if len(w_desc) != n or any(ch not in "01" for ch in w_desc):
         raise LatticeError(f"puncturing element {w_desc!r} must be {n} binary digits")
     return support_transform([int(ch) for ch in w_desc])
 
 
-def scheme_to_text(s: Scheme, kind: str, q: int | None = None, n: int | None = None) -> str:
-    """Inverse of parse_scheme_text for round trips ("powerset"/"projective")."""
-    if kind == "powerset":
-        n = n if n is not None else max(1, _powerset_width(s.lattice))
-        out = []
-        for x in s.sorted_members():
-            out.append("".join("1" if (x >> i) & 1 else "0" for i in range(n)))
-        return "\n".join(out) + "\n"
-    if kind == "projective":
-        if q is None or n is None:
-            raise ValueError("projective scheme text needs q and n")
-        body = [s.lattice.names[x] for x in s.sorted_members()]
-        return "\n".join([f"q={q} n={n}"] + body) + "\n"
-    raise ValueError(f"unknown scheme kind {kind!r}")
-
-
-def _powerset_width(lat: Lattice) -> int:
-    size = len(lat)
-    return max(1, size.bit_length() - 1)
+def scheme_to_text(s: Scheme) -> str:
+    """Inverse of parse_scheme_text, for a scheme on a family lattice."""
+    family, n, q = _family(s.lattice)
+    if family == "projective":
+        body = [f"q={q} n={n}"] + [s.lattice.names[x] for x in s.sorted_members()]
+    else:
+        body = ["".join("1" if (x >> i) & 1 else "0" for i in range(n)) for x in s.sorted_members()]
+    return "\n".join(body) + "\n"

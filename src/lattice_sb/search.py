@@ -17,13 +17,12 @@ others would be pruned before they were expanded, so it saves work without
 changing the node count.
 
 The search starts from the largest of several greedy schemes: one over the
-whole window in vertex order, and one on each height level alone.  A tie
-keeps the whole-window scheme, so single-level windows start as before.  The
-whole-window greedy fills the small low levels first, but every code on one
-level is a code of the window: on Sub(F_2^5), d=2, window (1,2) the
-whole-window greedy takes the 31 points, which block every line, while the
-line level alone gives all 155 lines, the optimum.  A higher start only
-prunes more, so it never adds nodes.
+whole window in vertex order, and one on each height level alone; a tie
+keeps the whole-window scheme.  The whole-window greedy fills the small low
+levels first, but every code on one level is a code of the window: on
+Sub(F_2^5), d=2, window (1,2) the whole-window greedy takes the 31 points,
+which block every line, while the line level alone gives all 155 lines,
+the optimum.  A higher start only prunes more, so it never adds nodes.
 
 On a lattice made by a family builder (`Lattice.family`), the search asks
 bounds.anticode_bound for a cap, and when the starting scheme already has
@@ -34,8 +33,7 @@ Sub(F_q^n)), and on a vertex-transitive graph a clique has at most
 |V| / |I| vertices for any coclique I.  A lattice from JSON, a rebuild or a
 sublattice carries no family: nothing checks its graph for that symmetry,
 so it always runs the whole tree.  The cap stops only the root; within the
-tree the colour bound alone prunes, so a search that does not start at the
-cap keeps its node count.
+tree the colour bound alone prunes.
 
 Each branch starts from that incumbent and never sees its earlier
 siblings' improvements, and results merge in branch order.  Sharing the

@@ -24,6 +24,7 @@ from lattice_sb import (
     to_json,
 )
 from lattice_sb import fq
+from lattice_sb import search as srch
 from lattice_sb.cli import main
 
 
@@ -111,8 +112,7 @@ def chain_json(length):
 
 
 @pytest.mark.parametrize("command", [("check",), ("bounds", "-d", "2"), ("search", "-d", "2")])
-def test_lattice_file_enforces_cap(capsys, tmp_path, monkeypatch, command):
-    monkeypatch.delenv("LATTICE_SB_MAX_ELEMENTS", raising=False)
+def test_lattice_file_enforces_cap(capsys, tmp_path, command):
     path = tmp_path / "chain.json"
     path.write_text(chain_json(130))
     code, out, err = run(capsys, *command, "--lattice", str(path))
@@ -122,20 +122,19 @@ def test_lattice_file_enforces_cap(capsys, tmp_path, monkeypatch, command):
     assert code == 0
 
 
-@pytest.mark.parametrize("source", ["env", "flag"])
-def test_negative_cap_is_input_error(capsys, monkeypatch, source):
-    argv = ["bounds", "--projective", "-q", "2", "--n-min", "3", "--n-max", "4",
-            "--d-min", "2", "--d-max", "2"]
-    if source == "env":
-        monkeypatch.setenv("LATTICE_SB_MAX_ELEMENTS", "-1")
-        named = "LATTICE_SB_MAX_ELEMENTS"
-    else:
-        monkeypatch.delenv("LATTICE_SB_MAX_ELEMENTS", raising=False)
-        argv += ["--max-elements", "-1"]
-        named = "--max-elements"
-    code, out, err = run(capsys, *argv)
+def test_negative_cap_is_input_error(capsys):
+    code, out, err = run(capsys, "bounds", "--projective", "-q", "2", "--n-min", "3", "--n-max", "4",
+                         "--d-min", "2", "--d-max", "2", "--max-elements", "-1")
     assert code == 2 and out == ""
-    assert named in err and "must be >= 0" in err
+    assert "--max-elements" in err and "must be >= 0" in err
+
+
+def test_cap_ignores_environment(capsys, monkeypatch):
+    # the cap comes from --max-elements or the default, nothing else
+    monkeypatch.setenv("LATTICE_SB_MAX_ELEMENTS", "4")
+    code, out, _ = run(capsys, "check", "--powerset", "3")
+    assert code == 0
+    assert "elements: 8\n" in out
 
 
 # --- bounds --------------------------------------------------------------------------
@@ -215,6 +214,33 @@ def test_bounds_degenerate_window_is_one(capsys):
     # alpha = 2 > M = 1: no two atoms are 5 apart, so the optimum is 1
     row = bounds_row(capsys, "--powerset", "-n", "5", "-d", "5", "--window", "1", "1")
     assert (row["lsb"], row["gv_lower"]) == ("1", "1")
+
+
+@pytest.mark.parametrize("n_args", [("-n", "3"), ("--n-min", "3"), ("--n-min", "1", "--n-max", "3")])
+def test_bounds_lattice_takes_no_n(capsys, tmp_path, n_args):
+    # the lattice fixes n (its height), so an n flag is an input error, not ignored
+    path = tmp_path / "p3.json"
+    path.write_text(to_json(build_powerset_lattice(3)))
+    code, out, err = run(capsys, "bounds", "--lattice", str(path), *n_args, "-d", "2")
+    assert code == 2 and out == ""
+    assert err == "error: --lattice takes no -n, --n-min or --n-max (n is its height)\n"
+
+
+def test_bounds_projective_from_n_0(capsys):
+    # Sub(F_q^0) is the one-element lattice, like 2^[0]
+    code, out, err = run(capsys, "bounds", "--projective", "--n-min", "0", "--n-max", "2", "-d", "1")
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [(r[2], r[6], r[8]) for r in rows] == [("0", "1", "1"), ("1", "2", "2"), ("2", "5", "5")]
+
+
+def test_bounds_powerset_over_20_leaves_gv_blank(capsys):
+    # 2^[21] is over every cap: the closed-form row prints, its GV cell is blank
+    row = bounds_row(capsys, "--powerset", "-n", "21", "-d", "2", "--window", "1", "1")
+    assert (row["lsb"], row["gv_lower"]) == ("21", "")
+    code, out, err = run(capsys, "check", "--powerset", "21")
+    assert code == 2 and out == ""
+    assert err == "error: power-set lattice supported for 0 <= n <= 20\n"
 
 
 @pytest.mark.parametrize("family", ["--powerset", "--projective"])
@@ -543,10 +569,12 @@ def test_scheme_binary_w_wrong_width(capsys, tmp_path):
     assert code == 2
 
 
-def test_scheme_as_code_rejects_header(capsys, tmp_path):
-    path = write_scheme(tmp_path, "q=2 n=3\n100\n010\n")
-    code, _, err = run(capsys, "scheme", "mindist", path, "--as-code")
-    assert code == 2
+def test_scheme_has_no_as_code_flag(capsys, tmp_path):
+    path = write_scheme(tmp_path, "1100\n0011\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["scheme", "mindist", path, "--as-code"])
+    assert exc.value.code == 2
+    assert "--as-code" in capsys.readouterr().err
 
 
 # --- search --------------------------------------------------------------------------
@@ -678,6 +706,24 @@ def test_search_rejects_window_above_height(capsys):
                          "--window", "2", "9")
     assert code == 2 and out == ""
     assert "need 0 <= m <= M <= n" in err
+
+
+@pytest.mark.parametrize("source", [("--lattice", "p3.json", "--window", "0", "99"),
+                                    ("--powerset", "3", "--window", "0", "9"),
+                                    ("--name", "N5", "--window", "0", "9"),
+                                    ("--projective", "-n", "3", "--window", "2", "1")])
+def test_search_checks_window_before_searching(capsys, tmp_path, monkeypatch, source):
+    # every source, whether it has a family, an anticode bound or a modular bound
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p3.json").write_text(to_json(build_powerset_lattice(3)))
+
+    def no_search(problem):
+        raise AssertionError("max_code called with an invalid window")
+
+    monkeypatch.setattr(srch, "max_code", no_search)
+    code, out, err = run(capsys, "search", *source, "-d", "2")
+    assert code == 2 and out == ""
+    assert err == "error: need 0 <= m <= M <= n\n"
 
 
 def test_search_projective_line_is_a_chain(capsys):

@@ -211,10 +211,17 @@ def test_powerset_lattice_shape(pow4):
 def test_powerset_range_check():
     with pytest.raises(ValueError):
         build_powerset_lattice(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(CapExceeded, match="0 <= n <= 20"):  # over any cap
         build_powerset_lattice(21, max_elements=10**7)
     with pytest.raises(CapExceeded):
         build_powerset_lattice(10)  # 1024 > default cap
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_projective_lattice_of_the_zero_space(q):
+    lat = build_projective_lattice(0, q)
+    assert (len(lat), lat.total_height(), lat.family) == (1, 0, ("projective", 0, q))
+    assert lat.bottom == lat.top == 0
 
 
 def test_projective_lattice_shape(sub2, sub3):
@@ -234,7 +241,7 @@ def test_projective_cover_means_one_dim_step(sub3):
 
 
 def test_projective_cap():
-    with pytest.raises(CapExceeded, match="LATTICE_SB_MAX_ELEMENTS"):
+    with pytest.raises(CapExceeded, match="raise via max_elements"):
         build_projective_lattice(5, 2)
     lat = build_projective_lattice(5, 2, max_elements=400)
     assert len(lat) == 374

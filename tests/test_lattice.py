@@ -265,32 +265,19 @@ def test_to_dot(n5):
 # --- caps -------------------------------------------------------------------------
 
 
-def test_cap_override(monkeypatch):
-    monkeypatch.setenv("LATTICE_SB_MAX_ELEMENTS", "4")
-    with pytest.raises(CapExceeded, match="LATTICE_SB_MAX_ELEMENTS"):
-        build_powerset_lattice(3)
+def test_cap_override():
+    with pytest.raises(CapExceeded, match="raise via max_elements"):
+        build_powerset_lattice(3, max_elements=4)
     assert len(build_powerset_lattice(3, max_elements=8)) == 8
 
 
-def test_cap_env_must_be_int(monkeypatch):
-    monkeypatch.setenv("LATTICE_SB_MAX_ELEMENTS", "many")
-    with pytest.raises(LatticeError):
-        build_powerset_lattice(2)
-
-
-def test_negative_cap_is_input_error(monkeypatch):
-    monkeypatch.setenv("LATTICE_SB_MAX_ELEMENTS", "-1")
-    with pytest.raises(LatticeError, match="LATTICE_SB_MAX_ELEMENTS must be >= 0") as exc:
-        build_powerset_lattice(2)
-    assert not isinstance(exc.value, CapExceeded)
-    monkeypatch.delenv("LATTICE_SB_MAX_ELEMENTS")
+def test_negative_cap_is_input_error():
     with pytest.raises(LatticeError, match="max_elements") as exc:
         build_powerset_lattice(2, max_elements=-1)
     assert not isinstance(exc.value, CapExceeded)
 
 
-def test_from_json_cap(monkeypatch, pow3):
-    monkeypatch.delenv("LATTICE_SB_MAX_ELEMENTS", raising=False)
+def test_from_json_cap(pow3):
     text = to_json(pow3)
     with pytest.raises(CapExceeded, match="8 elements; cap is 7"):
         from_json(text, max_elements=7)
@@ -298,11 +285,10 @@ def test_from_json_cap(monkeypatch, pow3):
     assert len(from_json(text)) == 8  # no cap unless one is given
 
 
-def test_check_cap_message_is_shared(monkeypatch, pow3):
+def test_check_cap_message_is_shared(pow3):
     """Every capped builder raises the one check_cap message, byte for byte."""
-    monkeypatch.delenv("LATTICE_SB_MAX_ELEMENTS", raising=False)
     check_cap(7, "seven", 7)  # at the cap is within it
-    raise_hint = "(raise via max_elements or LATTICE_SB_MAX_ELEMENTS)"
+    raise_hint = "(raise via max_elements)"
     cases = [
         (lambda: check_cap(8, "eight", 7), "eight has 8 elements; cap is 7"),
         (lambda: build_powerset_lattice(3, 7), "power-set lattice on 3 points has 8 elements; cap is 7"),

@@ -6,6 +6,9 @@ import pytest
 
 from lattice_sb import (
     LatticeError,
+    build_powerset_lattice,
+    build_projective_lattice,
+    from_json,
     lifting_transform,
     make_scheme,
     min_distance,
@@ -16,9 +19,11 @@ from lattice_sb import (
     scheme_to_text,
     subspace_from_text,
     support_transform,
+    to_json,
     verify_transform,
 )
 from lattice_sb.fq import subspace_id
+from lattice_sb.schemes import parse_element
 
 
 def hamming(u, v):
@@ -223,11 +228,6 @@ def test_parse_rejects_mixed_width():
         parse_scheme_text("110\n01\n")
 
 
-def test_parse_rejects_as_code_with_header():
-    with pytest.raises(LatticeError):
-        parse_scheme_text("q=2 n=3\n100\n", as_code=True)
-
-
 def test_parse_rejects_empty():
     with pytest.raises(LatticeError):
         parse_scheme_text("# nothing here\n")
@@ -235,11 +235,37 @@ def test_parse_rejects_empty():
 
 def test_scheme_text_round_trip(pow3, sub3):
     s = make_scheme(pow3, [0b001, 0b110])
-    text = scheme_to_text(s, "powerset")
+    text = scheme_to_text(s)
     again = parse_scheme_text(text)
     assert again.sorted_members() == s.sorted_members()
 
     t = make_scheme(sub3, [1, 8])
-    text = scheme_to_text(t, "projective", q=2, n=3)
+    text = scheme_to_text(t)
     again = parse_scheme_text(text)
     assert again.sorted_members() == t.sorted_members()
+
+
+# n >= 1: the one element of 2^[0] or Sub(F_q^0) has no text in a scheme file
+FAMILY_LATTICES = [("powerset", n, None) for n in range(1, 5)]
+FAMILY_LATTICES += [("projective", n, 2) for n in range(1, 4)] + [("projective", 2, 3)]
+
+
+@pytest.mark.parametrize("family", FAMILY_LATTICES, ids=str)
+def test_scheme_text_round_trips_every_member(family):
+    kind, n, q = family
+    lat = build_powerset_lattice(n) if kind == "powerset" else build_projective_lattice(n, q)
+    whole = make_scheme(lat, range(len(lat)))
+    again = parse_scheme_text(scheme_to_text(whole))
+    assert again.lattice.family == family
+    assert again.members == whole.members
+    for x in range(len(lat)):
+        line = scheme_to_text(make_scheme(lat, [x])).splitlines()[-1]
+        assert parse_element(line, lat) == x
+
+
+def test_scheme_text_needs_a_family_lattice(pow3):
+    lat = from_json(to_json(pow3))  # same order, no family
+    with pytest.raises(ValueError, match="family"):
+        scheme_to_text(make_scheme(lat, [0b001, 0b110]))
+    with pytest.raises(ValueError, match="family"):
+        parse_element("001", lat)
