@@ -24,18 +24,26 @@ Sub(F_2^5), d=2, window (1,2) the whole-window greedy takes the 31 points,
 which block every line, while the line level alone gives all 155 lines,
 the optimum.  A higher start only prunes more, so it never adds nodes.
 
-On a lattice made by a family builder (`Lattice.family`), the search asks
-bounds.anticode_bound for a cap, and when the starting scheme already has
-that many members it is proven optimal at the root, with 0 nodes.  The cap
-is sound because the graph is vertex-transitive there (S_n acts
-transitively on 2^[n] and on each of its levels, GL(n, q) on each level of
-Sub(F_q^n)), and on a vertex-transitive graph a clique has at most
-|V| / |I| vertices for any coclique I.  A lattice from JSON, a rebuild or a
-sublattice carries no family: nothing checks its graph for that symmetry,
-so it always runs the whole tree.  The cap stops only the root; within the
-tree the colour bound alone prunes.
+The search stops at a cap, an upper bound on the clique size, taken as the
+smaller of two bounds where either holds.  On a lattice made by a family
+builder (`Lattice.family`), bounds.anticode_bound gives one.  It is sound
+because the graph is vertex-transitive there (S_n acts transitively on 2^[n]
+and on each of its levels, GL(n, q) on each level of Sub(F_q^n)), and on a
+vertex-transitive graph a clique has at most |V| / |I| vertices for any
+coclique I.  A lattice from JSON, a rebuild or a sublattice carries no
+family: nothing checks its graph for that symmetry, so it gets no anticode
+bound.  The other is the sphere-packing cap.  On a modular lattice the
+height is a valuation, so the height distance is a metric (Birkhoff,
+Lattice Theory, ch. X), and the balls of radius t = floor((d-1)/2) around
+the members of a scheme are pairwise disjoint: a scheme of the window W has
+at most |W| / min_x |B(x, t) & W| members.  _build_graph counts the balls in
+its distance pass.  A family lattice is modular by construction, and any
+other lattice is asked is_modular(): on N5 (d = 3, window (0, 1)) the count
+gives 1, against the optimum 2.  When the starting scheme reaches the cap it
+is proven optimal at the root, with 0 nodes, and a branch whose clique
+reaches it ends the whole search, proven.
 
-Each branch starts from that incumbent and never sees its earlier
+Each branch starts from the starting scheme's size and never sees its earlier
 siblings' improvements, and results merge in branch order.  Sharing the
 incumbent would prune more, but it is an algorithm change of its own: it
 changes the node counts, which the benchmark checks exactly.  The node
@@ -51,7 +59,7 @@ import random
 import time
 from typing import NamedTuple
 
-from .bounds import _budget, anticode_bound, kks_bound
+from .bounds import _budget, anticode_bound, check_window, kks_bound
 from .lattice import Lattice, iter_bits, window_ids
 from .schemes import Scheme, make_scheme
 
@@ -72,29 +80,45 @@ class SearchResult(NamedTuple):
 
 
 def _build_graph(lat: Lattice, d: int, ids: list[int]):
+    """(verts, adj, ball): the window in vertex order, its distance graph as
+    neighbour bitsets, and the fewest window elements within distance
+    floor((d-1)/2) of any one vertex, itself included.  ids must not be empty."""
     verts = sorted(ids, key=lambda x: (lat.heights[x], x))
     m = len(verts)
+    t = (d - 1) // 2
     adj = [0] * m
+    near = [1] * m
     for i in range(m):
         for j in range(i + 1, m):
-            if lat.distance(verts[i], verts[j]) >= d:
+            dist = lat.distance(verts[i], verts[j])
+            if dist >= d:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return verts, adj
+            elif dist <= t:
+                near[i] += 1
+                near[j] += 1
+    return verts, adj, min(near)
 
 
 class _Budget(Exception):
     pass
 
 
+class _Capped(Exception):
+    pass
+
+
 class _BranchSearch:
     """The clique search, one top-level branch per run() call.
 
-    The node count and the budgets span all runs; the incumbent does not.
+    The node count and the budgets span all runs; the incumbent does not.  A
+    run ends, proven, at the first clique of cap members (never, without a
+    cap).
     """
 
-    def __init__(self, adj, node_budget, deadline):
+    def __init__(self, adj, node_budget, deadline, cap=None):
         self.adj = adj
+        self.cap = len(adj) + 1 if cap is None else cap
         # non_adj[v]: every vertex except v and its neighbours
         self.non_adj = [~(a | (1 << v)) for v, a in enumerate(adj)]
         self.node_budget = node_budget
@@ -108,9 +132,11 @@ class _BranchSearch:
         self.best_mask = 0
         try:
             self._expand(1 << v, cand_mask, 1)
-            return True
         except _Budget:
             return False
+        except _Capped:
+            pass
+        return True
 
     def _expand(self, r_mask: int, p_mask: int, r_size: int):
         if self.nodes >= self.node_budget:
@@ -122,6 +148,8 @@ class _BranchSearch:
             if r_size > self.best_size:
                 self.best_size = r_size
                 self.best_mask = r_mask
+                if r_size >= self.cap:
+                    raise _Capped
             return
         order, bound = self._color_sort(p_mask, self.best_size - r_size)
         adj = self.adj
@@ -169,15 +197,27 @@ def _greedy_mask(adj, order) -> tuple[int, int]:
     return mask, size
 
 
+def _start(lat: Lattice, verts, adj) -> tuple[int, int]:
+    """(mask, size) of the largest greedy scheme: over the whole window in
+    vertex order, or on one height level alone; a tie keeps the former."""
+    best_mask, best_size = _greedy_mask(adj, range(len(verts)))
+    # verts is sorted by height, so each level is a run of consecutive vertices
+    for _, level in itertools.groupby(range(len(verts)), key=lambda i: lat.heights[verts[i]]):
+        mask, size = _greedy_mask(adj, level)
+        if size > best_size:
+            best_mask, best_size = mask, size
+    return best_mask, best_size
+
+
 def max_code(problem: SearchProblem) -> SearchResult:
     """Largest scheme with pairwise distance >= d inside the window.
 
     Returns the best scheme found, whether optimality was proven (budgets not
-    exhausted, or a family lattice's start reached its anticode bound), and
-    the deterministic node count.  The returned scheme is re-verified
-    through the schemes module before being reported.  Raises ValueError for
-    d < 1, a negative node budget, a time budget that is not positive, or a
-    non-empty window that reaches above the top of a family lattice.
+    exhausted, or a scheme reached the cap), and the deterministic node
+    count.  The returned scheme is re-verified through the schemes module
+    before being reported.  Raises ValueError for d < 1, a negative node
+    budget, a time budget that is not positive, or a window outside the
+    heights 0..height of the lattice.
     """
     if problem.d < 1:
         raise ValueError("minimum distance must be >= 1")
@@ -186,30 +226,25 @@ def max_code(problem: SearchProblem) -> SearchResult:
     if not problem.budget_secs > 0:
         raise ValueError(f"budget_secs (--budget-secs) must be > 0, got {problem.budget_secs}")
     lat = problem.lattice
-    ids = window_ids(lat, problem.window)
-    if not ids:
-        return SearchResult((), 0, True, 0)
-    cap = None
+    check_window(problem.window, lat.total_height())
+    verts, adj, ball = _build_graph(lat, problem.d, window_ids(lat, problem.window))
+    m = len(verts)
+    cap = m // ball if lat.family is not None or lat.is_modular() else None
     if lat.family is not None:
         family, n, q = lat.family
-        cap = anticode_bound(family, n, problem.d, q, problem.window)
-    verts, adj = _build_graph(lat, problem.d, ids)
-    m = len(verts)
-    greedy_mask, greedy_size = _greedy_mask(adj, range(m))
-    # verts is sorted by height, so each level is a run of consecutive vertices
-    for _, level in itertools.groupby(range(m), key=lambda i: lat.heights[verts[i]]):
-        level_mask, level_size = _greedy_mask(adj, level)
-        if level_size > greedy_size:  # a tie keeps the height-order scheme
-            greedy_mask, greedy_size = level_mask, level_size
+        anticode = anticode_bound(family, n, problem.d, q, problem.window)
+        if anticode is not None:
+            cap = min(cap, anticode)
+    start_mask, start_size = _start(lat, verts, adj)
     deadline = time.monotonic() + problem.budget_secs
 
-    search = _BranchSearch(adj, problem.budget_nodes, deadline)
-    best_size, best_mask = greedy_size, greedy_mask
+    search = _BranchSearch(adj, problem.budget_nodes, deadline, cap)
+    best_mask, best_size = start_mask, start_size
     proven = True
-    # a start that reaches the anticode bound is optimal: no branch can beat it
-    branches = 0 if cap is not None and greedy_size >= cap else m
-    for v in range(branches):
-        proven = search.run(v, adj[v] & ~((1 << (v + 1)) - 1), greedy_size)
+    for v in range(m):
+        if best_size >= search.cap:  # no branch can beat a scheme at the cap
+            break
+        proven = search.run(v, adj[v] & ~((1 << (v + 1)) - 1), start_size)
         if search.best_size > best_size:
             best_size, best_mask = search.best_size, search.best_mask
         if not proven:
@@ -236,7 +271,7 @@ def greedy_code(lat: Lattice, d: int, seed: int | None = None, window=None) -> S
     ids = window_ids(lat, window)
     if not ids:
         raise ValueError("empty height window")
-    verts, adj = _build_graph(lat, d, ids)
+    verts, adj, _ = _build_graph(lat, d, ids)
     order = list(range(len(verts)))
     if seed is not None:
         random.Random(seed).shuffle(order)

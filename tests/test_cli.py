@@ -638,11 +638,13 @@ def test_search_budget_stop_skips_sandwich(capsys, monkeypatch, tmp_path):
 
 
 def test_search_budget_secs_exit(capsys, tmp_path):
-    # the clock is read every 4096 nodes; the full search needs about 8k.  A
-    # JSON copy: the family lattice would be proven at the root.
-    path = tmp_path / "pow7.json"
-    path.write_text(to_json(build_powerset_lattice(7)))
-    code, out, _ = run(capsys, "search", "--lattice", str(path), "-d", "3", "--budget-secs", "1e-9")
+    # the clock is read every 4096 nodes; the full search needs 17,700.  A
+    # JSON copy: the family lattice would be proven at the root by its
+    # anticode bound, and the copy's packing cap (28) is above the optimum 16.
+    path = tmp_path / "pow8.json"
+    path.write_text(to_json(build_powerset_lattice(8, max_elements=400)))
+    code, out, _ = run(capsys, "search", "--lattice", str(path), "-d", "4", "--max-elements", "400",
+                       "--budget-secs", "1e-9")
     assert code == 3
     obj = json.loads(out)
     assert obj["proven_optimal"] is False
@@ -650,8 +652,10 @@ def test_search_budget_secs_exit(capsys, tmp_path):
 
 
 def test_search_json_copy_is_not_certified(capsys, tmp_path):
-    # the family lattice is proven at the root; its JSON copy carries no
-    # family, so it searches the whole tree for the same result
+    # the family lattice is proven at the root by its anticode bound; its
+    # JSON copy carries no family, and its packing cap (35: no two lines lie
+    # at distance 1) is far above the optimum 5, so it searches the whole
+    # tree for the same result
     source = ("--projective", "-n", "4", "-d", "4", "--window", "2", "2")
     code, out, _ = run(capsys, "search", *source)
     assert code == 0

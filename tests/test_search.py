@@ -21,8 +21,8 @@ from lattice_sb import (
     window_ids,
 )
 from lattice_sb.lattice import iter_bits
-from lattice_sb.search import _BranchSearch, _build_graph
-from test_classifiers import lattices
+from lattice_sb.search import _BranchSearch, _build_graph, _greedy_mask, _start
+from test_classifiers import lattices, relabelled
 
 
 def brute_force_max(lat, d, window=None):
@@ -88,7 +88,7 @@ def test_color_sort_matches_greedy_reference(m, density, seed, kmin):
 
 def family_free(lat):
     """The same lattice, same ids and same search tree, with no family: the
-    search gets no anticode bound and runs its whole tree."""
+    search gets no anticode bound, only the packing cap."""
     return build_lattice(lat.names, lat.covers)
 
 
@@ -112,9 +112,19 @@ def pow7():
     return build_powerset_lattice(7)
 
 
+def relabelled_pow7():
+    """2^[7] as a JSON copy with seeded random ids: its vertex order, and so
+    its greedy start, differ from the family's."""
+    lat = pow7()
+    return relabelled(lat, random.Random(5).sample(range(len(lat)), len(lat)))
+
+
 # (best_size, nodes) pinned: node counts change only with the algorithm.  The
 # family lattices whose greedy start meets the anticode bound prove it at the
-# root; their family-free rebuilds keep the full search's counts.
+# root; their family-free rebuilds keep the full search's counts, except 2^[7]
+# at d = 3, whose greedy start holds the Hamming code and meets the packing
+# cap 128 / 8 = 16.  Its relabelled copy starts lower and stops in the search
+# at the first branch that reaches 16.
 @pytest.mark.parametrize(
     "run, best_size, nodes",
     [
@@ -122,7 +132,8 @@ def pow7():
         (run_search(lambda: family_free(sub43()), 2, (1, 2)), 130, 170),
         (run_search(lambda: family_free(sub43()), 4, (2, 2)), 10, 886),
         (run_search(lambda: family_free(pow8()), 4), 16, 17_700),
-        (run_search(lambda: family_free(pow7()), 3), 16, 8_348),
+        (run_search(lambda: family_free(pow7()), 3), 16, 0),
+        (run_search(relabelled_pow7, 3), 16, 436),
         (run_search(sub52, 2, (1, 2)), 155, 186),
         (run_search(sub43, 2, (1, 2)), 130, 170),
         (run_search(sub43, 4, (2, 2)), 10, 0),
@@ -130,7 +141,7 @@ def pow7():
         (run_search(pow7, 3), 16, 0),
         (lambda: conjecture_probe(3, 4, 2, 4, max_elements=400), 10, 0),
     ],
-    ids=["sub52-d2-w12", "sub43-d2-w12", "sub43-d4-w22", "pow8-d4", "pow7-d3",
+    ids=["sub52-d2-w12", "sub43-d2-w12", "sub43-d4-w22", "pow8-d4", "pow7-d3", "json-pow7-d3",
          "family-sub52-d2-w12", "family-sub43-d2-w12", "family-sub43-d4-w22",
          "family-pow8-d4", "family-pow7-d3", "probe-sub43-d4-l2"],
 )
@@ -171,19 +182,21 @@ def test_max_code_matches_networkx_oracle(name):
             assert res.best_size == networkx_clique_number(lat, d, window), (d, window)
 
 
-def height_order_search(lat, d, window):
-    """(best_size, nodes) of the search started from the height-order greedy
-    scheme alone, with no single-level seed."""
-    verts, adj = _build_graph(lat, d, window_ids(lat, window))
-    mask = start = 0
-    for v in range(len(verts)):
-        if adj[v] & mask == mask:
-            mask |= 1 << v
-            start += 1
+def height_order_start(lat, verts, adj):
+    """The height-order greedy scheme alone, with no single-level seed."""
+    return _greedy_mask(adj, range(len(verts)))
+
+
+def uncapped_search(lat, d, window, start=_start):
+    """(best_size, nodes) of the search with no cap, from the scheme that
+    start(lat, verts, adj) gives (max_code's start by default), every branch
+    run to its end."""
+    verts, adj, _ = _build_graph(lat, d, window_ids(lat, window))
+    _, size = start(lat, verts, adj)
     search = _BranchSearch(adj, 10**9, float("inf"))
-    best = start
+    best = size
     for v in range(len(verts)):
-        assert search.run(v, adj[v] & ~((1 << (v + 1)) - 1), start)
+        assert search.run(v, adj[v] & ~((1 << (v + 1)) - 1), size)
         best = max(best, search.best_size)
     return best, search.nodes
 
@@ -196,7 +209,7 @@ def assert_level_seed_only_prunes(lat):
     for d in range(1, 2 * h + 1):
         for window in windows:
             res = max_code(SearchProblem(lat, d, window))
-            best, nodes = height_order_search(lat, d, window)
+            best, nodes = uncapped_search(lat, d, window, height_order_start)
             assert res.proven_optimal
             assert res.best_size == best and res.nodes <= nodes, (d, window)
 
@@ -211,6 +224,58 @@ def test_level_seed_only_prunes_oracle_lattices(name):
 def test_level_seed_only_prunes_generated_modular(lat):
     assume(lat.is_modular())
     assert_level_seed_only_prunes(lat)
+
+
+def assert_packing_cap_sound(lat):
+    """On every d and every window: the ball count of _build_graph is the
+    brute-force smallest ball, its cap holds on a modular lattice, and the
+    search reports the uncapped optimum in at most the uncapped nodes."""
+    h = lat.total_height()
+    windows = [None] + list(itertools.combinations_with_replacement(range(h + 1), 2))
+    for d in range(1, 2 * h + 2):
+        t = (d - 1) // 2
+        for window in windows:
+            ids = window_ids(lat, window)
+            verts, _, ball = _build_graph(lat, d, ids)
+            assert ball == min(sum(lat.distance(x, y) <= t for y in ids) for x in ids), (d, window)
+            best, nodes = uncapped_search(lat, d, window)
+            if lat.is_modular():
+                assert len(verts) // ball >= best, (d, window)
+            res = max_code(SearchProblem(lat, d, window))
+            assert res.proven_optimal
+            assert res.best_size == best and res.nodes <= nodes, (d, window)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_LATTICES))
+def test_packing_cap_sound_oracle_lattices(name):
+    assert_packing_cap_sound(ORACLE_LATTICES[name]())
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattices)
+def test_packing_cap_sound_generated_modular(lat):
+    assume(lat.is_modular())
+    assert_packing_cap_sound(lat)
+
+
+def test_packing_cap_needs_a_modular_lattice(n5):
+    # N5, window (0, 1): the balls of the atoms a and c, {d, a} and {d, c},
+    # overlap, so the count gives 3 // 2 = 1, but a and c lie at distance 3
+    verts, _, ball = _build_graph(n5, 3, window_ids(n5, (0, 1)))
+    assert len(verts) // ball == 1
+    res = max_code(SearchProblem(n5, 3, (0, 1)))
+    assert (res.best_size, res.proven_optimal) == (2, True)
+    # 0 < x, y; y < z, w; x, z < c; c, w < 1.  In the window (0, 2) the
+    # count gives 5 // 2 = 2, which the greedy start already has, but
+    # {x, z, w} lie pairwise at distance >= 3
+    lat = build_lattice("0 x y z w c 1".split(),
+                        [(0, 1), (0, 2), (1, 5), (2, 3), (2, 4), (3, 5), (5, 6), (4, 6)])
+    assert not lat.is_modular()
+    verts, _, ball = _build_graph(lat, 3, window_ids(lat, (0, 2)))
+    assert len(verts) // ball == 2
+    res = max_code(SearchProblem(lat, 3, (0, 2)))
+    assert (res.best_size, res.proven_optimal) == (3, True)
+    assert [lat.names[x] for x in res.members] == ["x", "z", "w"]
 
 
 def test_max_code_sub2_d2(sub2):
@@ -242,8 +307,12 @@ def test_max_code_window_atoms(sub3):
 
 
 def test_max_code_empty_window(sub3):
-    res = max_code(SearchProblem(sub3, 2, window=(9, 9)))
-    assert res.best_size == 0 and res.proven_optimal
+    # a window above the lattice height is an input error on every lattice,
+    # not an empty search
+    for lat in (sub3, family_free(sub3)):
+        for window in ((9, 9), (2, 9)):
+            with pytest.raises(ValueError, match="need 0 <= m <= M <= n"):
+                max_code(SearchProblem(lat, 2, window=window))
 
 
 def test_max_code_members_form_valid_scheme(sub3):
@@ -270,9 +339,10 @@ def test_max_code_budget_exhaustion(n5):
 
 
 def test_max_code_deadline_stops_early():
-    # about 8k nodes unbudgeted; the clock is read at the 4096th node.  The
-    # family lattice would be proven at the root, so the rebuild carries none.
-    res = max_code(SearchProblem(family_free(pow7()), 3, budget_secs=1e-9))
+    # 17,700 nodes unbudgeted; the clock is read at the 4096th node.  The
+    # family lattice would be proven at the root by its anticode bound, so the
+    # rebuild carries none; its packing cap, 256 // 9 = 28, stays above 16.
+    res = max_code(SearchProblem(family_free(pow8()), 4, budget_secs=1e-9))
     assert not res.proven_optimal
     assert res.nodes == 4096
 
