@@ -218,15 +218,12 @@ def gv_lower_values(lat: Lattice, d_values, window: tuple[int, int] | None = Non
     ids = window_ids(lat, window)
     if not ids:
         return [0 for _ in d_values]
-    h, jt, mt = lat.heights, lat.join_table, lat.meet_table
     span = lat.total_height() + 1  # every distance is below this
     hists = [[0] * span for _ in ids]
     for i, c in enumerate(ids):
-        hc, jc, mc = hists[i], jt[c], mt[c]
+        hc = hists[i]
         hc[0] += 1
-        for k in range(i + 1, len(ids)):
-            x = ids[k]
-            t = h[jc[x]] - h[mc[x]]
+        for k, t in enumerate(lat.distances(c, ids[i + 1:]), i + 1):
             hc[t] += 1
             hists[k][t] += 1
     vol = [0] * span  # vol[r]: the largest ball of radius r

@@ -1,10 +1,15 @@
 """Finite lattices built from cover relations.
 
 Elements are dense integer ids 0..n-1 with display names.  The order is kept
-as per-element up/down bitmask sets, and join/meet are materialized n x n
-tables computed (and validated) at construction time, so a Lattice is only
-ever created for inputs that really are lattices.  Instances are immutable
-after construction and safe to share between threads.
+as per-element up/down bitmask sets, once over ids and once over the
+positions of a topological order.  Join and meet are computed on demand from
+the position masks: the join of a and b is the first of their common upper
+bounds in that order, the meet the last of their common lower bounds.  No
+n x n table is stored.  build_lattice checks that every pair has a meet,
+which with a top makes the poset a lattice, so a Lattice is only ever
+returned for inputs that really are lattices.  Instances are immutable after
+construction (the modularity verdict is decided once and kept) and safe to
+share between threads.
 
 A lattice made by a family builder of the fq module records that family in
 `family`, as ("powerset", n, None) or ("projective", n, q); every other
@@ -16,6 +21,7 @@ the builders set it (and with_names keeps it).
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
@@ -68,25 +74,40 @@ def iter_bits(mask: int):
 
 
 class Lattice:
-    """Immutable finite lattice with materialized join/meet tables."""
+    """Immutable finite lattice; join, meet and distance are computed on
+    demand from up/down bitmasks over the positions of a topological order.
 
-    def __init__(self, names, covers, up, down, heights, join_table, meet_table, bottom, top,
-                 family=None):
+    `order` lists the element ids in that order (position -> id).  build_lattice
+    makes every Lattice and checks that its order really is a lattice.
+    """
+
+    def __init__(self, names, covers, up, down, heights, order, bottom, top, family=None):
         self.names = tuple(names)
         self.covers = tuple(covers)  # Hasse-reduced (lower, upper) pairs, sorted
         self.heights = tuple(heights)
-        self.join_table = join_table
-        self.meet_table = meet_table
         self.bottom = bottom
         self.top = top
         self._up = tuple(up)
         self._down = tuple(down)
+        self._order = tuple(order)
+        if self._order == tuple(range(len(self._order))):
+            self._pup, self._pdown = self._up, self._down
+        else:
+            pos = [0] * len(self._order)
+            for i, x in enumerate(self._order):
+                pos[x] = i
+            self._pup = tuple(sum(1 << pos[y] for y in iter_bits(m)) for m in self._up)
+            self._pdown = tuple(sum(1 << pos[y] for y in iter_bits(m)) for m in self._down)
+        self._hpos = tuple(self.heights[x] for x in self._order)  # height by position
         self.family = family  # (family, n, q) of an fq builder, else None
         self.name_to_id = {nm: i for i, nm in enumerate(self.names)}
         lower: list[list[int]] = [[] for _ in self.names]
+        upper: list[list[int]] = [[] for _ in self.names]
         for lo, hi in self.covers:
             lower[hi].append(lo)
+            upper[lo].append(hi)
         self._lower_covers = tuple(tuple(v) for v in lower)
+        self._upper_covers = tuple(tuple(v) for v in upper)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -98,10 +119,11 @@ class Lattice:
         return self.names[x]
 
     def join(self, a: int, b: int) -> int:
-        return self.join_table[a][b]
+        ub = self._pup[a] & self._pup[b]
+        return self._order[(ub & -ub).bit_length() - 1]
 
     def meet(self, a: int, b: int) -> int:
-        return self.meet_table[a][b]
+        return self._order[(self._pdown[a] & self._pdown[b]).bit_length() - 1]
 
     def leq(self, a: int, b: int) -> bool:
         return (self._up[a] >> b) & 1 == 1
@@ -114,7 +136,23 @@ class Lattice:
 
     def distance(self, a: int, b: int) -> int:
         """Height-induced distance h(a v b) - h(a ^ b)."""
-        return self.heights[self.join_table[a][b]] - self.heights[self.meet_table[a][b]]
+        hp = self._hpos
+        ub = self._pup[a] & self._pup[b]
+        lb = self._pdown[a] & self._pdown[b]
+        return hp[(ub & -ub).bit_length() - 1] - hp[lb.bit_length() - 1]
+
+    def distances(self, a: int, others: Iterable[int]) -> list[int]:
+        """[distance(a, b) for b in others].  On a modular lattice the height
+        is a valuation, so this reads only the meet: h(a) + h(b) - 2 h(a ^ b)."""
+        hp, h, pdown = self._hpos, self.heights, self._pdown
+        da = pdown[a]
+        if self._modular:
+            ha = h[a]
+            return [ha + h[b] - 2 * hp[(da & pdown[b]).bit_length() - 1] for b in others]
+        pup = self._pup
+        ua = pup[a]
+        return [hp[((ub := ua & pup[b]) & -ub).bit_length() - 1] - hp[(da & pdown[b]).bit_length() - 1]
+                for b in others]
 
     def atoms(self) -> list[int]:
         """Elements of height 1 (equivalently: covers of the bottom)."""
@@ -145,13 +183,8 @@ class Lattice:
         """True iff v(x v y) + v(x ^ y) == v(x) + v(y) for every pair."""
         self._check_valuation_len(v)
         n = len(self.names)
-        jt, mt = self.join_table, self.meet_table
-        for a in range(n):
-            va, ja, ma = v[a], jt[a], mt[a]
-            for b in range(a, n):
-                if v[ja[b]] + v[ma[b]] != va + v[b]:
-                    return False
-        return True
+        return all(v[self.join(a, b)] + v[self.meet(a, b)] == v[a] + v[b]
+                   for a in range(n) for b in range(a, n))
 
     def is_isotone(self, v: Sequence[int]) -> bool:
         """Monotone along the order; checking covers suffices by transitivity."""
@@ -164,8 +197,9 @@ class Lattice:
         return all(v[lo] < v[hi] for lo, hi in self.covers)
 
     # --- structure predicates --------------------------------------------
-    # Each is one pass over the covers or the unordered pairs, through the
-    # height function (longest chain from the bottom) or the down-set masks.
+    # Each is one pass over the covers, over pairs of covers of a common
+    # element, or over the join-irreducibles, through the height function
+    # (longest chain from the bottom) or the position masks.
 
     def has_jordan_dedekind(self) -> bool:
         """All maximal chains between two comparable elements have equal length.
@@ -178,14 +212,40 @@ class Lattice:
         h = self.heights
         return all(h[hi] == h[lo] + 1 for lo, hi in self.covers)
 
+    def _covering_condition(self, upper: bool) -> bool:
+        """On a graded lattice: any two upper covers of an element have their
+        join two levels up (upper), or any two lower covers of an element have
+        their meet two levels down.  The former is upper semimodularity: a, b
+        covering a ^ b implies a v b covers a and b; the latter its dual."""
+        hp, h = self._hpos, self.heights
+        if upper:
+            masks, covers, step = self._pup, self._upper_covers, 2
+        else:
+            masks, covers, step = self._pdown, self._lower_covers, -2
+        for x, cov in enumerate(covers):
+            want = h[x] + step
+            ms = [masks[c] for c in cov]
+            for i, ma in enumerate(ms):
+                for mb in ms[i + 1:]:
+                    ab = ma & mb
+                    if hp[((ab & -ab) if upper else ab).bit_length() - 1] != want:
+                        return False
+        return True
+
+    @cached_property
+    def _modular(self) -> bool:
+        return (self.has_jordan_dedekind() and self._covering_condition(True)
+                and self._covering_condition(False))
+
     def is_modular(self) -> bool:
         """a <= c implies a v (b ^ c) == (a v b) ^ c.
 
-        Decided as "graded, and the height is a valuation",
-        h(a v b) + h(a ^ b) == h(a) + h(b) for every pair (Stanley,
-        Enumerative Combinatorics 1, section 3.3).
+        Decided as "graded, upper and lower semimodular", the semimodular
+        conditions checked on pairs of covers of a common element (Stanley,
+        Enumerative Combinatorics 1, Prop. 3.3.2 and its dual).  Decided once
+        per lattice; distances() reads the same verdict.
         """
-        return self.has_jordan_dedekind() and self.is_valuation(self.heights)
+        return self._modular
 
     def is_distributive(self) -> bool:
         """a ^ (b v c) == (a ^ b) v (a ^ c) (equivalently, its dual).
@@ -194,17 +254,16 @@ class Lattice:
         join-prime": p <= a v b implies p <= a or p <= b.  Then x -> {join-
         irreducibles below x} is a lattice embedding into a power set
         (Birkhoff; Davey-Priestley, Introduction to Lattices and Order, ch. 5).
+        p is join-prime iff the elements not above p are closed under joins,
+        that is, iff they form a principal down-set: the last of them in the
+        topological order lies above all of them.
         """
-        irr = 0
-        for x, lower in enumerate(self._lower_covers):
+        full = (1 << len(self.names)) - 1
+        order, pup, pdown = self._order, self._pup, self._pdown
+        for p, lower in enumerate(self._lower_covers):
             if len(lower) == 1:
-                irr |= 1 << x
-        down, jt = self._down, self.join_table
-        n = len(self.names)
-        for a in range(n):
-            da, ja = down[a], jt[a]
-            for b in range(a + 1, n):
-                if (down[ja[b]] & ~(da | down[b])) & irr:
+                rest = full & ~pup[p]  # never empty: it holds the bottom
+                if pdown[order[rest.bit_length() - 1]] != rest:
                     return False
         return True
 
@@ -214,23 +273,32 @@ class Lattice:
 
         Atomistic is decided as "every join-irreducible is an atom", since
         each element is the join of the join-irreducibles below it.
-        Semimodular is decided as "graded, and h(a v b) + h(a ^ b) <=
-        h(a) + h(b) for every pair" (Stanley, Enumerative Combinatorics 1,
-        section 3.3).
+        Semimodular is decided as "graded, and any two upper covers of an
+        element have their join two levels up" (Stanley, Enumerative
+        Combinatorics 1, Prop. 3.3.2).
         """
         bottom = (self.bottom,)
         if any(len(lower) == 1 and lower != bottom for lower in self._lower_covers):
             return False
-        if not self.has_jordan_dedekind():
-            return False
-        h, jt, mt = self.heights, self.join_table, self.meet_table
-        n = len(h)
-        for a in range(n):
-            ha, ja, ma = h[a], jt[a], mt[a]
-            for b in range(a + 1, n):
-                if h[ja[b]] + h[ma[b]] > ha + h[b]:
-                    return False
-        return True
+        return self.has_jordan_dedekind() and self._covering_condition(True)
+
+
+def _not_a_lattice(names, order, pup, pdown) -> NotALatticeError:
+    """The fault of a poset that fails the meet pass, as the scan of the pairs
+    a <= b by id, join before meet, names it first."""
+    n = len(names)
+    for a in range(n):
+        for b in range(a, n):
+            pair = (names[a], names[b])
+            ub = pup[a] & pup[b]
+            if pup[order[(ub & -ub).bit_length() - 1]] != ub:
+                return NotALatticeError(
+                    f"elements {pair[0]!r} and {pair[1]!r} have no least upper bound", pair)
+            lb = pdown[a] & pdown[b]
+            if pdown[order[lb.bit_length() - 1]] != lb:
+                return NotALatticeError(
+                    f"elements {pair[0]!r} and {pair[1]!r} have no greatest lower bound", pair)
+    raise AssertionError("the meet pass found a fault that the scan does not")
 
 
 def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Lattice:
@@ -320,64 +388,40 @@ def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Latt
         if x != bottom:
             heights[x] = max(heights[p] + 1 for p in lower[x])
 
-    # Up- and down-sets as masks over topological positions: an upper bound
-    # of a and b that is least must come first among them in any linear
-    # extension, and a greatest lower bound last.  So the join candidate is
-    # the lowest bit of the common up-set, the meet candidate the highest bit
-    # of the common down-set, and each is checked to really be least/greatest.
-    if order == list(range(n)):
-        pup, pdown = up, down
-    else:
-        pos = [0] * n
-        for i, x in enumerate(order):
-            pos[x] = i
-        pup = [sum(1 << pos[y] for y in iter_bits(up[x])) for x in range(n)]
-        pdown = [sum(1 << pos[y] for y in iter_bits(down[x])) for x in range(n)]
-    join_table = [[0] * n for _ in range(n)]
-    meet_table = [[0] * n for _ in range(n)]
+    lat = Lattice(names, hasse, up, down, heights, order, bottom, top)
+    # The meet pass.  A greatest lower bound of a and b comes last among their
+    # common lower bounds in any linear extension, so the meet candidate is
+    # the highest bit of the common position down-set; it is the meet iff its
+    # own down-set is all of them.  With a top, every pair then has a join
+    # too: the meet of its common upper bounds.
+    pdown = lat._pdown
+    at = [pdown[x] for x in order]  # down-set by position
     for a in range(n):
-        up_a, down_a = pup[a], pdown[a]
-        jr, mr = join_table[a], meet_table[a]
-        for b in range(a, n):
-            ub = up_a & pup[b]
-            j = order[(ub & -ub).bit_length() - 1]
-            if pup[j] != ub:
-                raise NotALatticeError(
-                    f"elements {names[a]!r} and {names[b]!r} have no least upper bound",
-                    (names[a], names[b]),
-                )
-            lb = down_a & pdown[b]
-            m = order[lb.bit_length() - 1]
-            if pdown[m] != lb:
-                raise NotALatticeError(
-                    f"elements {names[a]!r} and {names[b]!r} have no greatest lower bound",
-                    (names[a], names[b]),
-                )
-            jr[b] = j
-            join_table[b][a] = j
-            mr[b] = m
-            meet_table[b][a] = m
-
-    return Lattice(names, hasse, up, down, heights, join_table, meet_table, bottom, top)
+        da = pdown[a]
+        for db in pdown[a + 1:]:
+            lb = da & db
+            if at[lb.bit_length() - 1] != lb:
+                raise _not_a_lattice(names, order, lat._pup, pdown)
+    return lat
 
 
 def with_names(lat: Lattice, names: Sequence[str]) -> Lattice:
-    """The same lattice with replaced display names; ids, order, tables and
-    family are kept.
+    """The same lattice with replaced display names; ids, order and family
+    are kept.
 
     Raises:
         LatticeError: names is not one distinct name per element.
     """
     if len(names) != len(lat) or len(set(names)) != len(lat):
         raise LatticeError(f"need {len(lat)} distinct names, got {len(set(names))} of {len(names)}")
-    return Lattice(names, lat.covers, lat._up, lat._down, lat.heights,
-                   lat.join_table, lat.meet_table, lat.bottom, lat.top, lat.family)
+    return Lattice(names, lat.covers, lat._up, lat._down, lat.heights, lat._order,
+                   lat.bottom, lat.top, lat.family)
 
 
 def sublattice_closure(lat: Lattice, seed: Iterable[int]) -> Lattice:
     """Close a seed set under join and meet; return the induced sublattice.
 
-    The result is a fresh Lattice with its own ids, heights, and tables;
+    The result is a fresh Lattice with its own ids, heights and order;
     names are inherited from the parent.
     """
     ids = set(seed)
@@ -449,7 +493,7 @@ def from_json(text: str, max_elements: int | None = None) -> Lattice:
     """Parse the to_json form and build the lattice.
 
     Given max_elements, inputs with more elements than element_cap(max_elements)
-    raise CapExceeded before any table is built.  Without it the text is
+    raise CapExceeded before the lattice is built.  Without it the text is
     trusted as is; the CLI always passes the resolved cap.
     """
     try:

@@ -14,11 +14,13 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fq import (
     Subspace,
+    all_subspaces,
     build_powerset_lattice,
     build_projective_lattice,
     rref,
     subspace_from_text,
     subspace_id,
+    subspace_to_text,
 )
 from .lattice import Lattice, LatticeError
 
@@ -51,11 +53,7 @@ def make_scheme(lat: Lattice, members: Iterable[int]) -> Scheme:
     hs = [lat.heights[x] for x in ids]
     d = None
     if len(ids) >= 2:
-        d = min(
-            lat.distance(ids[i], ids[j])
-            for i in range(len(ids))
-            for j in range(i + 1, len(ids))
-        )
+        d = min(min(lat.distances(x, ids[i + 1:])) for i, x in enumerate(ids[:-1]))
     return Scheme(lat, frozenset(ids), d, min(hs), max(hs))
 
 
@@ -249,10 +247,15 @@ def parse_element(w_desc: str, lat: Lattice) -> int:
 
 
 def scheme_to_text(s: Scheme) -> str:
-    """Inverse of parse_scheme_text, for a scheme on a family lattice."""
+    """Inverse of parse_scheme_text, for a scheme on a family lattice.
+
+    Members are written in the family's notation, found from their ids, so a
+    renamed family lattice (with_names) writes the same text.
+    """
     family, n, q = _family(s.lattice)
     if family == "projective":
-        body = [f"q={q} n={n}"] + [s.lattice.names[x] for x in s.sorted_members()]
+        subs = list(all_subspaces(n, q))  # projective ids follow this order
+        body = [f"q={q} n={n}"] + [subspace_to_text(subs[x]) for x in s.sorted_members()]
     else:
         body = ["".join("1" if (x >> i) & 1 else "0" for i in range(n)) for x in s.sorted_members()]
     return "\n".join(body) + "\n"

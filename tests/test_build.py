@@ -1,5 +1,5 @@
 """Lattice construction (L1) against independent references: the projective
-order from linear algebra, and the join/meet tables from the original
+order from linear algebra, and join/meet of every pair from the original
 per-pair scan, on relabelled and non-lattice inputs too."""
 
 import pytest
@@ -118,8 +118,9 @@ def test_build_lattice_matches_original_scan(poset):
         assert (str(info.value), info.value.pair) == want
     else:
         lat = build_lattice(names, covers)
-        assert [list(r) for r in lat.join_table] == want[0]
-        assert [list(r) for r in lat.meet_table] == want[1]
+        n = len(names)
+        assert [[lat.join(a, b) for b in range(n)] for a in range(n)] == want[0]
+        assert [[lat.meet(a, b) for b in range(n)] for a in range(n)] == want[1]
 
 
 @settings(max_examples=60, deadline=None)

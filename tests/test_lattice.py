@@ -220,12 +220,13 @@ def test_with_names(pow3, m3, l2):
         with_names(pow3, ["too", "few"])
     with pytest.raises(LatticeError, match="distinct"):
         with_names(pow3, ["v0"] * 8)
-    # renamed stock lattices carry the tables a full rebuild computes
+    # renamed stock lattices give the joins and meets a full rebuild computes
     for lat in (m3, l2):
         rebuilt = build_lattice(lat.names, lat.covers)
         assert lat.heights == rebuilt.heights
-        assert lat.join_table == rebuilt.join_table
-        assert lat.meet_table == rebuilt.meet_table
+        pairs = list(itertools.product(range(len(lat)), repeat=2))
+        assert [lat.join(a, b) for a, b in pairs] == [rebuilt.join(a, b) for a, b in pairs]
+        assert [lat.meet(a, b) for a, b in pairs] == [rebuilt.meet(a, b) for a, b in pairs]
         assert (lat.bottom, lat.top) == (rebuilt.bottom, rebuilt.top)
 
 

@@ -263,6 +263,17 @@ def test_scheme_text_round_trips_every_member(family):
         assert parse_element(line, lat) == x
 
 
+def test_scheme_text_round_trips_renamed_family_lattice(m3, sub2):
+    """M3 is Sub(F_2^2) with display names O, A, B, C, I: its text is the
+    subspace notation of Sub(F_2^2), not those names."""
+    s = make_scheme(m3, [m3.name_to_id["B"], m3.name_to_id["C"]])
+    text = scheme_to_text(s)
+    assert text == scheme_to_text(make_scheme(sub2, s.members)) == "q=2 n=2\n10\n11\n"
+    again = parse_scheme_text(text)
+    assert again.lattice.family == m3.family
+    assert again.members == s.members
+
+
 def test_scheme_text_needs_a_family_lattice(pow3):
     lat = from_json(to_json(pow3))  # same order, no family
     with pytest.raises(ValueError, match="family"):
