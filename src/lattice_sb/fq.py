@@ -15,6 +15,7 @@ by linear algebra and serve as the reference for that order.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -192,6 +193,13 @@ def all_subspaces(n: int, q: int) -> Iterator[Subspace]:
         yield from enumerate_grassmannian(n, k, q)
 
 
+@lru_cache(maxsize=4)
+def _projective_index(n: int, q: int) -> tuple[tuple[Subspace, ...], dict[Subspace, int]]:
+    """The subspace of each projective id, and the id of each subspace."""
+    subs = tuple(all_subspaces(n, q))
+    return subs, {s: i for i, s in enumerate(subs)}
+
+
 # --- text format -------------------------------------------------------------
 
 
@@ -253,7 +261,7 @@ def build_projective_lattice(n: int, q: int, max_elements: int | None = None) ->
         raise ValueError("ambient dimension must be >= 0")
     size = sum(gaussian(n, k, q) for k in range(n + 1))
     check_cap(size, f"Sub(F_{q}^{n})", max_elements)
-    subs = list(all_subspaces(n, q))
+    subs = _projective_index(n, q)[0]
     masks = _vector_masks(subs)
     by_dim: list[list[int]] = [[] for _ in range(n + 1)]
     for i, s in enumerate(subs):
@@ -268,7 +276,7 @@ def build_projective_lattice(n: int, q: int, max_elements: int | None = None) ->
     return lat
 
 
-def _vector_masks(subs: list[Subspace]) -> list[int]:
+def _vector_masks(subs: Sequence[Subspace]) -> list[int]:
     """The mask of the vectors of each subspace; vector x is bit sum(x_i * q^i).
 
     The span of RREF rows r_1..r_k is the span of r_2..r_k plus the
@@ -308,8 +316,20 @@ def subspace_name(sub: Subspace) -> str:
 
 
 def subspace_id(lat: Lattice, sub: Subspace) -> int:
-    """Element id of a subspace inside a built projective lattice."""
-    return lat.name_to_id[subspace_name(sub)]
+    """Element id of a subspace in a projective family lattice.
+
+    Found from the family, not the names, so a lattice renamed by
+    with_names (such as M3) maps a subspace to the same id.
+    """
+    _, n, q = lat.family
+    return _projective_index(n, q)[1][sub]
+
+
+def subspace_of(lat: Lattice, x: int) -> Subspace:
+    """The subspace of element x of a projective family lattice; the
+    inverse of subspace_id."""
+    _, n, q = lat.family
+    return _projective_index(n, q)[0][x]
 
 
 def _vec(code: int, n: int) -> tuple[int, ...]:

@@ -142,15 +142,9 @@ class Lattice:
         return hp[(ub & -ub).bit_length() - 1] - hp[lb.bit_length() - 1]
 
     def distances(self, a: int, others: Iterable[int]) -> list[int]:
-        """[distance(a, b) for b in others].  On a modular lattice the height
-        is a valuation, so this reads only the meet: h(a) + h(b) - 2 h(a ^ b)."""
-        hp, h, pdown = self._hpos, self.heights, self._pdown
-        da = pdown[a]
-        if self._modular:
-            ha = h[a]
-            return [ha + h[b] - 2 * hp[(da & pdown[b]).bit_length() - 1] for b in others]
-        pup = self._pup
-        ua = pup[a]
+        """[distance(a, b) for b in others], in one loop over the masks."""
+        hp, pup, pdown = self._hpos, self._pup, self._pdown
+        ua, da = pup[a], pdown[a]
         return [hp[((ub := ua & pup[b]) & -ub).bit_length() - 1] - hp[(da & pdown[b]).bit_length() - 1]
                 for b in others]
 
@@ -243,7 +237,7 @@ class Lattice:
         Decided as "graded, upper and lower semimodular", the semimodular
         conditions checked on pairs of covers of a common element (Stanley,
         Enumerative Combinatorics 1, Prop. 3.3.2 and its dual).  Decided once
-        per lattice; distances() reads the same verdict.
+        per lattice and kept.
         """
         return self._modular
 

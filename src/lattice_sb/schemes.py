@@ -14,12 +14,12 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fq import (
     Subspace,
-    all_subspaces,
     build_powerset_lattice,
     build_projective_lattice,
     rref,
     subspace_from_text,
     subspace_id,
+    subspace_of,
     subspace_to_text,
 )
 from .lattice import Lattice, LatticeError
@@ -53,7 +53,11 @@ def make_scheme(lat: Lattice, members: Iterable[int]) -> Scheme:
     hs = [lat.heights[x] for x in ids]
     d = None
     if len(ids) >= 2:
-        d = min(min(lat.distances(x, ids[i + 1:])) for i, x in enumerate(ids[:-1]))
+        d = min(
+            lat.distance(ids[i], ids[j])
+            for i in range(len(ids))
+            for j in range(i + 1, len(ids))
+        )
     return Scheme(lat, frozenset(ids), d, min(hs), max(hs))
 
 
@@ -254,8 +258,7 @@ def scheme_to_text(s: Scheme) -> str:
     """
     family, n, q = _family(s.lattice)
     if family == "projective":
-        subs = list(all_subspaces(n, q))  # projective ids follow this order
-        body = [f"q={q} n={n}"] + [subspace_to_text(subs[x]) for x in s.sorted_members()]
+        body = [f"q={q} n={n}"] + [subspace_to_text(subspace_of(s.lattice, x)) for x in s.sorted_members()]
     else:
         body = ["".join("1" if (x >> i) & 1 else "0" for i in range(n)) for x in s.sorted_members()]
     return "\n".join(body) + "\n"

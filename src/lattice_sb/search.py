@@ -37,11 +37,11 @@ height is a valuation, so the height distance is a metric (Birkhoff,
 Lattice Theory, ch. X), and the balls of radius t = floor((d-1)/2) around
 the members of a scheme are pairwise disjoint: a scheme of the window W has
 at most |W| / min_x |B(x, t) & W| members.  _build_graph counts the balls in
-its distance pass, which also decides the lattice's is_modular() verdict,
-and the cap applies only where it holds: on N5 (d = 3, window (0, 1)) the
-count gives 1, against the optimum 2.  When the starting scheme reaches the
-cap it is proven optimal at the root, with 0 nodes, and a branch whose
-clique reaches it ends the whole search, proven.
+its distance pass.  A family lattice is modular by construction, and any
+other lattice is asked is_modular(): on N5 (d = 3, window (0, 1)) the count
+gives 1, against the optimum 2.  When the starting scheme reaches the cap it
+is proven optimal at the root, with 0 nodes, and a branch whose clique
+reaches it ends the whole search, proven.
 
 Each branch starts from the starting scheme's size and never sees its earlier
 siblings' improvements, and results merge in branch order.  Sharing the
@@ -228,7 +228,7 @@ def max_code(problem: SearchProblem) -> SearchResult:
     check_window(problem.window, lat.total_height())
     verts, adj, ball = _build_graph(lat, problem.d, window_ids(lat, problem.window))
     m = len(verts)
-    cap = m // ball if lat.is_modular() else None
+    cap = m // ball if lat.family is not None or lat.is_modular() else None
     if lat.family is not None:
         family, n, q = lat.family
         anticode = anticode_bound(family, n, problem.d, q, problem.window)

@@ -112,7 +112,6 @@ def test_distances_match_distance_oracle_lattices(name):
 @example(build_named_lattice("N5"), random.Random(0))
 @example(ATOMISTIC_UNGRADED, random.Random(0))
 def test_distances_match_distance_generated(lat, rng):
-    # modular or not: the non-modular ones take the join, the others the meet only
     assert_distance_rows(lat, rng)
     assert_distance_rows(relabelled(lat, rng.sample(range(len(lat)), len(lat))), rng)
 
@@ -121,8 +120,8 @@ def test_distances_match_distance_generated(lat, rng):
 
 
 def test_search_decides_modularity_once(tmp_path, monkeypatch, capsys):
-    """search --lattice asks for modularity in the graph pass, the packing cap
-    and the bound; the covering conditions are checked once."""
+    """search --lattice asks for modularity for the packing cap and for the
+    bound; the covering conditions are checked once."""
     path = tmp_path / "sub3.json"
     path.write_text(to_json(build_projective_lattice(3, 2)))
     calls = []

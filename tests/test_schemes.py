@@ -272,6 +272,8 @@ def test_scheme_text_round_trips_renamed_family_lattice(m3, sub2):
     again = parse_scheme_text(text)
     assert again.lattice.family == m3.family
     assert again.members == s.members
+    for line, x in zip(text.splitlines()[1:], s.sorted_members()):
+        assert parse_element(line, m3) == x
 
 
 def test_scheme_text_needs_a_family_lattice(pow3):
