@@ -5,11 +5,11 @@ as per-element up/down bitmask sets, once over ids and once over the
 positions of a topological order.  Join and meet are computed on demand from
 the position masks: the join of a and b is the first of their common upper
 bounds in that order, the meet the last of their common lower bounds.  No
-n x n table is stored.  build_lattice checks that every pair has a meet,
-which with a top makes the poset a lattice, so a Lattice is only ever
-returned for inputs that really are lattices.  Instances are immutable after
-construction (the modularity verdict is decided once and kept) and safe to
-share between threads.
+n x n table is stored.  build_lattice checks that every two upper covers of
+a common element have a join, which with a bottom and a top makes the poset
+a lattice, so a Lattice is only ever returned for inputs that really are
+lattices.  Instances are immutable after construction (the modularity
+verdict is decided once and kept) and safe to share between threads.
 
 A lattice made by a family builder of the fq module records that family in
 `family`, as ("powerset", n, None) or ("projective", n, q); every other
@@ -90,14 +90,6 @@ class Lattice:
         self._up = tuple(up)
         self._down = tuple(down)
         self._order = tuple(order)
-        if self._order == tuple(range(len(self._order))):
-            self._pup, self._pdown = self._up, self._down
-        else:
-            pos = [0] * len(self._order)
-            for i, x in enumerate(self._order):
-                pos[x] = i
-            self._pup = tuple(sum(1 << pos[y] for y in iter_bits(m)) for m in self._up)
-            self._pdown = tuple(sum(1 << pos[y] for y in iter_bits(m)) for m in self._down)
         self._hpos = tuple(self.heights[x] for x in self._order)  # height by position
         self.family = family  # (family, n, q) of an fq builder, else None
         self.name_to_id = {nm: i for i, nm in enumerate(self.names)}
@@ -108,6 +100,25 @@ class Lattice:
             upper[lo].append(hi)
         self._lower_covers = tuple(tuple(v) for v in lower)
         self._upper_covers = tuple(tuple(v) for v in upper)
+        order = self._order
+        if order == tuple(range(len(order))):
+            self._pup, self._pdown = self._up, self._down
+        else:
+            # the same closure over the covers as the id masks, on positions
+            pup = [0] * len(order)
+            pdown = [0] * len(order)
+            for i, x in enumerate(order):
+                m = 1 << i
+                for p in lower[x]:
+                    m |= pdown[p]
+                pdown[x] = m
+            for i in reversed(range(len(order))):
+                x = order[i]
+                m = 1 << i
+                for c in upper[x]:
+                    m |= pup[c]
+                pup[x] = m
+            self._pup, self._pdown = tuple(pup), tuple(pdown)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -278,8 +289,8 @@ class Lattice:
 
 
 def _not_a_lattice(names, order, pup, pdown) -> NotALatticeError:
-    """The fault of a poset that fails the meet pass, as the scan of the pairs
-    a <= b by id, join before meet, names it first."""
+    """The fault of a poset that fails the cover-pair pass, as the scan of the
+    pairs a <= b by id, join before meet, names it first."""
     n = len(names)
     for a in range(n):
         for b in range(a, n):
@@ -292,7 +303,7 @@ def _not_a_lattice(names, order, pup, pdown) -> NotALatticeError:
             if pdown[order[lb.bit_length() - 1]] != lb:
                 return NotALatticeError(
                     f"elements {pair[0]!r} and {pair[1]!r} have no greatest lower bound", pair)
-    raise AssertionError("the meet pass found a fault that the scan does not")
+    raise AssertionError("the cover-pair pass found a fault that the scan does not")
 
 
 def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Lattice:
@@ -383,19 +394,29 @@ def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Latt
             heights[x] = max(heights[p] + 1 for p in lower[x])
 
     lat = Lattice(names, hasse, up, down, heights, order, bottom, top)
-    # The meet pass.  A greatest lower bound of a and b comes last among their
-    # common lower bounds in any linear extension, so the meet candidate is
-    # the highest bit of the common position down-set; it is the meet iff its
-    # own down-set is all of them.  With a top, every pair then has a join
-    # too: the meet of its common upper bounds.
-    pdown = lat._pdown
-    at = [pdown[x] for x in order]  # down-set by position
-    for a in range(n):
-        da = pdown[a]
-        for db in pdown[a + 1:]:
-            lb = da & db
-            if at[lb.bit_length() - 1] != lb:
-                raise _not_a_lattice(names, order, lat._pup, pdown)
+    # The cover-pair pass.  A least upper bound of a and b comes first among
+    # their common upper bounds in any linear extension, so the join candidate
+    # is the lowest bit of the common position up-set; it is the join iff its
+    # own up-set is all of them.  Only pairs of upper covers of a common
+    # element are tested: a finite poset with a bottom and a top in which each
+    # such pair has a join is a lattice.  By induction on |P|: take u and v,
+    # neither of them the bottom, and atoms p <= u and r <= v.  The up-sets
+    # of p and of r meet the hypothesis and are smaller, so they are
+    # lattices.  If p = r, then u v v exists in the up-set of p.  Otherwise
+    # s = p v r exists by the hypothesis at the bottom, t = u v s exists in
+    # the up-set of p, and e = t v v exists in the up-set of r.  Any common
+    # upper bound of u and v lies above p and r, hence above s, then t, then
+    # e, so e = u v v.  With a bottom, every pair then has a meet too: the
+    # join of its common lower bounds.
+    pup = lat._pup
+    at = [pup[x] for x in order]  # up-set by position
+    for cov in lat._upper_covers:
+        ms = [pup[c] for c in cov]
+        for i, ma in enumerate(ms):
+            for mb in ms[i + 1:]:
+                ub = ma & mb
+                if at[(ub & -ub).bit_length() - 1] != ub:
+                    raise _not_a_lattice(names, order, pup, lat._pdown)
     return lat
 
 

@@ -2,6 +2,9 @@
 order from linear algebra, and join/meet of every pair from the original
 per-pair scan, on relabelled and non-lattice inputs too."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -110,7 +113,11 @@ def bounded_posets(draw):
 @settings(max_examples=150, deadline=None)
 @given(bounded_posets())
 def test_build_lattice_matches_original_scan(poset):
-    names, covers = poset
+    assert_matches_scan(*poset)
+
+
+def assert_matches_scan(names, covers):
+    """build_lattice agrees with ref_tables; returns ref_tables' result."""
     want = ref_tables(names, covers)
     if isinstance(want[0], str):
         with pytest.raises(NotALatticeError) as info:
@@ -121,6 +128,45 @@ def test_build_lattice_matches_original_scan(poset):
         n = len(names)
         assert [[lat.join(a, b) for b in range(n)] for a in range(n)] == want[0]
         assert [[lat.meet(a, b) for b in range(n)] for a in range(n)] == want[1]
+    return want
+
+
+def test_build_lattice_matches_scan_on_every_small_bounded_poset():
+    # every order on up to five middle points (each is a DAG on 1..k with
+    # edges from lower to higher index) between a bottom 0 and a top k + 1,
+    # under one seeded relabelling of ids and covers
+    rng = random.Random(15)
+    seen = faults = 0
+    for k in range(6):
+        pairs = list(itertools.combinations(range(1, k + 1), 2))
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            covers = [(0, i) for i in range(1, k + 1)] + [(i, k + 1) for i in range(1, k + 1)]
+            covers += [pair for pair, keep in zip(pairs, chosen) if keep]
+            if k == 0:
+                covers = [(0, 1)]
+            perm = rng.sample(range(k + 2), k + 2)
+            names = [None] * (k + 2)
+            for x in range(k + 2):
+                names[perm[x]] = f"e{x}"
+            covers = [(perm[lo], perm[hi]) for lo, hi in covers]
+            rng.shuffle(covers)
+            seen += 1
+            faults += isinstance(assert_matches_scan(names, covers)[0], str)
+    assert seen == 1 + 1 + 2 + 8 + 64 + 1024
+    assert 0 < faults < seen
+
+
+def test_build_lattice_names_scan_pair_beyond_cover_pairs():
+    # 0 < p < a, 0 < r < b, and a, b < c, d < 1: a and b have two minimal
+    # upper bounds.  The pass fails at the covers p, r of 0; the error names
+    # the scan's first pair, a and b, which cover no common element.
+    names = ["a", "b", "0", "p", "r", "c", "d", "1"]
+    i = {nm: x for x, nm in enumerate(names)}
+    covers = [(i[lo], i[hi]) for lo, hi in
+              [("0", "p"), ("p", "a"), ("0", "r"), ("r", "b"), ("a", "c"), ("a", "d"),
+               ("b", "c"), ("b", "d"), ("c", "1"), ("d", "1")]]
+    want = ("elements 'a' and 'b' have no least upper bound", ("a", "b"))
+    assert assert_matches_scan(names, covers) == want
 
 
 @settings(max_examples=60, deadline=None)

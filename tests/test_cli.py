@@ -721,10 +721,10 @@ def test_search_checks_window_before_searching(capsys, tmp_path, monkeypatch, so
     monkeypatch.chdir(tmp_path)
     (tmp_path / "p3.json").write_text(to_json(build_powerset_lattice(3)))
 
-    def no_search(problem):
-        raise AssertionError("max_code called with an invalid window")
+    def no_graph(lat, d, ids):
+        raise AssertionError("distance graph built for an invalid window")
 
-    monkeypatch.setattr(srch, "max_code", no_search)
+    monkeypatch.setattr(srch, "_build_graph", no_graph)
     code, out, err = run(capsys, "search", *source, "-d", "2")
     assert code == 2 and out == ""
     assert err == "error: need 0 <= m <= M <= n\n"
