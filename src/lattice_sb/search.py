@@ -77,7 +77,6 @@ class SearchResult(NamedTuple):
     best_size: int
     proven_optimal: bool
     nodes: int
-    gv_lower: int  # bounds.gv_lower_for_lattice of the same lattice, d and window
 
 
 def _build_graph(lat: Lattice, d: int, ids: list[int]):
@@ -213,9 +212,8 @@ def max_code(problem: SearchProblem) -> SearchResult:
     """Largest scheme with pairwise distance >= d inside the window.
 
     Returns the best scheme found, whether optimality was proven (budgets not
-    exhausted, or a scheme reached the cap), the deterministic node count,
-    and the GV-type lower bound of the window, read off the distance graph's
-    degrees.  The returned scheme is re-verified through the schemes module
+    exhausted, or a scheme reached the cap), and the deterministic node
+    count.  The returned scheme is re-verified through the schemes module
     before being reported.  Raises ValueError, in this order, for a window
     outside the heights 0..height of the lattice, d < 1, a negative node
     budget or a time budget that is not positive.
@@ -230,8 +228,6 @@ def max_code(problem: SearchProblem) -> SearchResult:
         raise ValueError(f"budget_secs (--budget-secs) must be > 0, got {problem.budget_secs}")
     verts, adj, ball = _build_graph(lat, problem.d, window_ids(lat, problem.window))
     m = len(verts)
-    # The ball of radius d-1 around v holds v and the vertices not adjacent to it.
-    gv_lower = -(-m // (m - min(a.bit_count() for a in adj)))
     cap = m // ball if lat.family is not None or lat.is_modular() else None
     if lat.family is not None:
         family, n, q = lat.family
@@ -260,7 +256,7 @@ def max_code(problem: SearchProblem) -> SearchResult:
         check = make_scheme(lat, members)
         if check.min_dist < problem.d:
             raise RuntimeError("search produced a scheme below the required distance")
-    return SearchResult(members, best_size, proven, search.nodes, gv_lower)
+    return SearchResult(members, best_size, proven, search.nodes)
 
 
 def greedy_code(lat: Lattice, d: int, seed: int | None = None, window=None) -> Scheme:

@@ -258,18 +258,6 @@ def test_packing_cap_sound_generated_modular(lat):
     assert_packing_cap_sound(lat)
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_LATTICES))
-def test_max_code_gv_matches_gv_pass(name):
-    # the GV value read off the distance graph's degrees is the histogram pass's
-    lat = ORACLE_LATTICES[name]()
-    h = lat.total_height()
-    windows = [None] + list(itertools.combinations_with_replacement(range(h + 1), 2))
-    for d in range(1, 2 * h + 2):
-        for window in windows:
-            res = max_code(SearchProblem(lat, d, window))
-            assert res.gv_lower == gv_lower_for_lattice(lat, d, window), (d, window)
-
-
 def test_packing_cap_needs_a_modular_lattice(n5):
     # N5, window (0, 1): the balls of the atoms a and c, {d, a} and {d, c},
     # overlap, so the count gives 3 // 2 = 1, but a and c lie at distance 3
