@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from . import fq
 from .counting import FAMILIES, binomial, gaussian, whitney_closed_form
-from .lattice import Lattice, window_ids
+from .lattice import Lattice, check_window, window_ids
 
 
 def puncture_budget(d: int, distributive: bool) -> int:
@@ -34,12 +34,6 @@ def _check_family(family: str, q: int | None):
         raise ValueError(f"unknown family: {family!r}")
     if family == "projective" and q is None:
         raise ValueError("projective family needs q")
-
-
-def check_window(window: tuple[int, int] | None, height: int):
-    """Raise ValueError unless the window [m, M] lies within heights 0..height."""
-    if window is not None and not 0 <= window[0] <= window[1] <= height:
-        raise ValueError("need 0 <= m <= M <= n")
 
 
 def _budget(d: int, distributive: bool, height: int, window: tuple[int, int] | None = None):
@@ -216,8 +210,6 @@ def gv_lower_values(lat: Lattice, d_values, window: tuple[int, int] | None = Non
     if any(d < 1 for d in d_values):
         raise ValueError("minimum distance must be >= 1")
     ids = window_ids(lat, window)
-    if not ids:
-        return [0 for _ in d_values]
     span = lat.total_height() + 1  # every distance is below this
     hists = [[0] * span for _ in ids]
     for i, c in enumerate(ids):

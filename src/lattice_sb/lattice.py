@@ -1,9 +1,9 @@
 """Finite lattices built from cover relations.
 
 Elements are dense integer ids 0..n-1 with display names.  The order is kept
-as per-element up/down bitmask sets, once over ids and once over the
-positions of a topological order.  Join and meet are computed on demand from
-the position masks: the join of a and b is the first of their common upper
+in one form: per element, the bitmask of its up-set and of its down-set over
+the positions of a topological order.  Join and meet are computed on demand
+from these masks: the join of a and b is the first of their common upper
 bounds in that order, the meet the last of their common lower bounds.  No
 n x n table is stored.  build_lattice checks that every two upper covers of
 a common element have a join, which with a bottom and a top makes the poset
@@ -74,22 +74,25 @@ def iter_bits(mask: int):
 
 
 class Lattice:
-    """Immutable finite lattice; join, meet and distance are computed on
-    demand from up/down bitmasks over the positions of a topological order.
+    """Immutable finite lattice, held as up/down bitmasks over the positions
+    of a topological order; join, meet and distance are computed on demand.
 
-    `order` lists the element ids in that order (position -> id).  build_lattice
-    makes every Lattice and checks that its order really is a lattice.
+    `order` lists the element ids in that order (position -> id), and
+    `pup[x]`, `pdown[x]` are the positions of the elements above and below
+    x, x included, so x's own position is the top bit of its down mask.  The
+    order starts at the bottom and ends at the top.  build_lattice makes
+    every Lattice and checks that its order really is a lattice.
     """
 
-    def __init__(self, names, covers, up, down, heights, order, bottom, top, family=None):
+    def __init__(self, names, covers, pup, pdown, heights, order, family=None):
         self.names = tuple(names)
         self.covers = tuple(covers)  # Hasse-reduced (lower, upper) pairs, sorted
         self.heights = tuple(heights)
-        self.bottom = bottom
-        self.top = top
-        self._up = tuple(up)
-        self._down = tuple(down)
+        self._pup = tuple(pup)
+        self._pdown = tuple(pdown)
         self._order = tuple(order)
+        self.bottom = self._order[0]
+        self.top = self._order[-1]
         self._hpos = tuple(self.heights[x] for x in self._order)  # height by position
         self.family = family  # (family, n, q) of an fq builder, else None
         self.name_to_id = {nm: i for i, nm in enumerate(self.names)}
@@ -100,25 +103,6 @@ class Lattice:
             upper[lo].append(hi)
         self._lower_covers = tuple(tuple(v) for v in lower)
         self._upper_covers = tuple(tuple(v) for v in upper)
-        order = self._order
-        if order == tuple(range(len(order))):
-            self._pup, self._pdown = self._up, self._down
-        else:
-            # the same closure over the covers as the id masks, on positions
-            pup = [0] * len(order)
-            pdown = [0] * len(order)
-            for i, x in enumerate(order):
-                m = 1 << i
-                for p in lower[x]:
-                    m |= pdown[p]
-                pdown[x] = m
-            for i in reversed(range(len(order))):
-                x = order[i]
-                m = 1 << i
-                for c in upper[x]:
-                    m |= pup[c]
-                pup[x] = m
-            self._pup, self._pdown = tuple(pup), tuple(pdown)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -137,7 +121,7 @@ class Lattice:
         return self._order[(self._pdown[a] & self._pdown[b]).bit_length() - 1]
 
     def leq(self, a: int, b: int) -> bool:
-        return (self._up[a] >> b) & 1 == 1
+        return self._pdown[a] & ~self._pdown[b] == 0
 
     def height(self, x: int) -> int:
         return self.heights[x]
@@ -169,11 +153,11 @@ class Lattice:
 
     def downset(self, x: int) -> list[int]:
         """All y <= x, ascending by id."""
-        return list(iter_bits(self._down[x]))
+        return sorted(self._order[i] for i in iter_bits(self._pdown[x]))
 
     def upset(self, x: int) -> list[int]:
         """All y >= x, ascending by id."""
-        return list(iter_bits(self._up[x]))
+        return sorted(self._order[i] for i in iter_bits(self._pup[x]))
 
     def elements_at_height(self, k: int) -> list[int]:
         return [x for x in range(len(self.names)) if self.heights[x] == k]
@@ -343,8 +327,7 @@ def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Latt
         succ[lo].append(hi)
         pred[hi].append(lo)
 
-    # Kahn topological order, smallest id first; detects cycles.  When the ids
-    # already are a linear extension, order is the identity.
+    # Kahn topological order, smallest id first; detects cycles.
     indeg = [len(pred[x]) for x in range(n)]
     ready = [x for x in range(n) if indeg[x] == 0]
     order: list[int] = []
@@ -358,42 +341,43 @@ def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Latt
     if len(order) < n:
         raise LatticeError("cover relation contains a cycle")
 
-    up = [1 << x for x in range(n)]
-    for x in reversed(order):
-        for y in succ[x]:
-            up[x] |= up[y]
-    down = [1 << x for x in range(n)]
-    for x in order:
+    # The closure: up- and down-sets as bitmasks over positions in order.
+    pdown = [0] * n
+    for i, x in enumerate(order):
+        m = 1 << i
         for p in pred[x]:
-            down[x] |= down[p]
+            m |= pdown[p]
+        pdown[x] = m
+    pup = [0] * n
+    for i in reversed(range(n)):
+        x = order[i]
+        m = 1 << i
+        for y in succ[x]:
+            m |= pup[y]
+        pup[x] = m
 
-    bottoms = [x for x in range(n) if down[x] == 1 << x]
-    tops = [x for x in range(n) if up[x] == 1 << x]
+    # A minimal element has only itself below it, a maximal one above it.
+    bottoms = [x for x in range(n) if pdown[x] & (pdown[x] - 1) == 0]
+    tops = [x for x in range(n) if pup[x] & (pup[x] - 1) == 0]
     if len(bottoms) != 1:
         listed = ", ".join(repr(names[x]) for x in bottoms)
         raise LatticeError(f"multiple minimal elements: {listed}")
     if len(tops) != 1:
         listed = ", ".join(repr(names[x]) for x in tops)
         raise LatticeError(f"multiple maximal elements: {listed}")
-    bottom, top = bottoms[0], tops[0]
 
     # True covers: no third element strictly between.
-    hasse = tuple(
-        (lo, hi)
-        for lo, hi in edges
-        if up[lo] & down[hi] == (1 << lo) | (1 << hi)
-    )
+    hasse = tuple((lo, hi) for lo, hi in edges if (pup[lo] & pdown[hi]).bit_count() == 2)
     lower: list[list[int]] = [[] for _ in range(n)]
     for lo, hi in hasse:
         lower[hi].append(lo)
 
-    # Height: longest cover path from the bottom.
+    # Height: longest cover path from the bottom, which comes first in order.
     heights = [0] * n
-    for x in order:
-        if x != bottom:
-            heights[x] = max(heights[p] + 1 for p in lower[x])
+    for x in order[1:]:
+        heights[x] = max(heights[p] + 1 for p in lower[x])
 
-    lat = Lattice(names, hasse, up, down, heights, order, bottom, top)
+    lat = Lattice(names, hasse, pup, pdown, heights, order)
     # The cover-pair pass.  A least upper bound of a and b comes first among
     # their common upper bounds in any linear extension, so the join candidate
     # is the lowest bit of the common position up-set; it is the join iff its
@@ -408,7 +392,6 @@ def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Latt
     # upper bound of u and v lies above p and r, hence above s, then t, then
     # e, so e = u v v.  With a bottom, every pair then has a meet too: the
     # join of its common lower bounds.
-    pup = lat._pup
     at = [pup[x] for x in order]  # up-set by position
     for cov in lat._upper_covers:
         ms = [pup[c] for c in cov]
@@ -416,7 +399,7 @@ def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Latt
             for mb in ms[i + 1:]:
                 ub = ma & mb
                 if at[(ub & -ub).bit_length() - 1] != ub:
-                    raise _not_a_lattice(names, order, pup, lat._pdown)
+                    raise _not_a_lattice(names, order, pup, pdown)
     return lat
 
 
@@ -429,8 +412,7 @@ def with_names(lat: Lattice, names: Sequence[str]) -> Lattice:
     """
     if len(names) != len(lat) or len(set(names)) != len(lat):
         raise LatticeError(f"need {len(lat)} distinct names, got {len(set(names))} of {len(names)}")
-    return Lattice(names, lat.covers, lat._up, lat._down, lat.heights, lat._order,
-                   lat.bottom, lat.top, lat.family)
+    return Lattice(names, lat.covers, lat._pup, lat._pdown, lat.heights, lat._order, lat.family)
 
 
 def sublattice_closure(lat: Lattice, seed: Iterable[int]) -> Lattice:
@@ -459,26 +441,39 @@ def sublattice_closure(lat: Lattice, seed: Iterable[int]) -> Lattice:
 
 
 def _restrict(lat: Lattice, ids: list[int]) -> Lattice:
+    """The subposet on ids, a sorted list, as a lattice with ids 0..len-1."""
     pos = {x: i for i, x in enumerate(ids)}
+    pup, pdown, order = lat._pup, lat._pdown, lat._order
     mask = 0
     for x in ids:
-        mask |= 1 << x
+        mask |= 1 << (pdown[x].bit_length() - 1)  # x's own position
     covers = []
     for x in ids:
-        for y in iter_bits(lat._up[x] & mask & ~(1 << x)):
-            between = lat._up[x] & lat._down[y] & mask & ~(1 << x) & ~(1 << y)
-            if between == 0:
+        for j in iter_bits(pup[x] & mask):
+            y = order[j]
+            if (pup[x] & pdown[y] & mask).bit_count() == 2:  # x and y, none between
                 covers.append((pos[x], pos[y]))
     return build_lattice([lat.names[x] for x in ids], covers)
 
 
+def check_window(window: tuple[int, int] | None, height: int):
+    """Raise ValueError unless the window [m, M] lies within heights 0..height."""
+    if window is not None and not 0 <= window[0] <= window[1] <= height:
+        raise ValueError("need 0 <= m <= M <= n")
+
+
 def window_ids(lat: Lattice, window: tuple[int, int] | None) -> list[int]:
-    """Ids of the elements with height in [lo, hi], or all ids for no window."""
+    """Ids of the elements with height in [lo, hi], or all ids for no window.
+
+    Every height 0..total_height() is taken, so the list is never empty.
+
+    Raises:
+        ValueError: the window is not within heights 0..total_height().
+    """
+    check_window(window, lat.total_height())
     if window is None:
         return list(range(len(lat)))
     lo, hi = window
-    if not 0 <= lo <= hi:
-        raise ValueError(f"invalid height window {lo} {hi}: need 0 <= lo <= hi")
     return [x for x in range(len(lat)) if lo <= lat.heights[x] <= hi]
 
 

@@ -59,8 +59,8 @@ import random
 import time
 from typing import NamedTuple
 
-from .bounds import _budget, anticode_bound, check_window, kks_bound
-from .lattice import Lattice, iter_bits, window_ids
+from .bounds import anticode_bound
+from .lattice import Lattice, check_window, iter_bits, window_ids
 from .schemes import Scheme, make_scheme
 
 
@@ -267,63 +267,10 @@ def greedy_code(lat: Lattice, d: int, seed: int | None = None, window=None) -> S
     """
     if d < 1:
         raise ValueError("minimum distance must be >= 1")
-    ids = window_ids(lat, window)
-    if not ids:
-        raise ValueError("empty height window")
-    verts, adj, _ = _build_graph(lat, d, ids)
+    verts, adj, _ = _build_graph(lat, d, window_ids(lat, window))
     order = list(range(len(verts)))
     if seed is not None:
         random.Random(seed).shuffle(order)
     mask, _ = _greedy_mask(adj, order)
     return make_scheme(lat, [verts[i] for i in iter_bits(mask)])
 
-
-class ProbeRow(NamedTuple):
-    q: int
-    n: int
-    l: int
-    d: int
-    alpha: int
-    bound: int
-    best_size: int
-    gap: int
-    attained: bool
-    degenerate: bool  # alpha == 0: the bound counts the whole window
-    proven_optimal: bool
-    nodes: int
-
-
-def conjecture_probe(
-    q: int,
-    n: int,
-    l: int,
-    d: int,
-    budget_nodes: int = 10_000_000,
-    budget_secs: float = 60.0,
-    max_elements: int | None = None,
-) -> ProbeRow:
-    """Compare the constant-dimension bound against the exact search optimum.
-
-    alpha = 0 rows are flagged degenerate (the bound is the whole window and
-    is trivially attained); they are excluded from evidence tallies.
-    """
-    from .fq import build_projective_lattice
-
-    bound = kks_bound(n, l, d, q)  # rejects bad input before the search
-    alpha = _budget(d, False, n, (l, l))[0]
-    lat = build_projective_lattice(n, q, max_elements)
-    res = max_code(SearchProblem(lat, d, (l, l), budget_nodes, budget_secs))
-    return ProbeRow(
-        q=q,
-        n=n,
-        l=l,
-        d=d,
-        alpha=alpha,
-        bound=bound,
-        best_size=res.best_size,
-        gap=bound - res.best_size,
-        attained=res.best_size == bound,
-        degenerate=alpha == 0,
-        proven_optimal=res.proven_optimal,
-        nodes=res.nodes,
-    )

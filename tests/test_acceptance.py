@@ -16,11 +16,11 @@ from lattice_sb import (
     build_projective_lattice,
     classical_singleton,
     classify,
-    conjecture_probe,
     enumerate_grassmannian,
     gaussian,
     gaussian_pascal,
     gv_lower_for_lattice,
+    kks_bound,
     lifting_transform,
     log2_string,
     lsb,
@@ -301,15 +301,16 @@ def test_criterion_10_curve_dual_route():
 
 def test_criterion_11_probe_open_gap():
     with criterion(11, "probe finds bound 7, optimum 5 at (q=2, n=4, l=2, d=4)", 60.0):
-        rows = [conjecture_probe(2, 4, 2, 4) for _ in range(3)]
-        row = rows[0]
-        assert row.bound == 7
-        assert row.best_size == 5
-        assert row.gap == 2
-        assert row.proven_optimal
-        assert not row.attained
+        bound = kks_bound(4, 2, 4, 2)
+        runs = [max_code(SearchProblem(build_projective_lattice(4, 2), 4, (2, 2))) for _ in range(3)]
+        res = runs[0]
+        assert bound == 7
+        assert res.best_size == 5
+        assert bound - res.best_size == 2
+        assert res.proven_optimal
+        assert res.best_size != bound
         # repeated runs agree in every field, node counts included
-        assert rows[0] == rows[1] == rows[2]
+        assert runs[0] == runs[1] == runs[2]
         # independent ceiling: 6 pairwise trivially-intersecting planes would
         # cover 18 of the 15 nonzero vectors of F_2^4, which is impossible
         assert 6 * (2**2 - 1) > 2**4 - 1

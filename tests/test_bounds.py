@@ -53,8 +53,6 @@ def ref_gv_lower(lat, d, window=None):
     """ceil(|window| / largest ball of radius d-1), scanning every centre."""
     lo, hi = window if window else (0, lat.total_height())
     ids = [x for x in range(len(lat)) if lo <= lat.heights[x] <= hi]
-    if not ids:
-        return 0
     return -(-len(ids) // max_ball_volume(lat, d - 1, ids))
 
 
@@ -377,6 +375,12 @@ def test_gv_lower_values_match_per_d(name, request):
     ds = list(range(1, top + 3))
     windows = [None] + [(lo, hi) for lo in range(top + 2) for hi in range(lo, top + 2)]
     for window in windows:
+        if window is not None and window[1] > top:  # a window above the height is an input error
+            with pytest.raises(ValueError, match="need 0 <= m <= M <= n"):
+                gv_lower_values(lat, ds, window)
+            with pytest.raises(ValueError, match="need 0 <= m <= M <= n"):
+                gv_lower_for_lattice(lat, 1, window)
+            continue
         want = [ref_gv_lower(lat, d, window) for d in ds]
         assert gv_lower_values(lat, ds, window) == want, window
         assert [gv_lower_for_lattice(lat, d, window) for d in ds] == want, window

@@ -13,6 +13,7 @@ from lattice_sb import (
     all_subspaces,
     build_lattice,
     build_projective_lattice,
+    sublattice_closure,
     subspace_intersect,
     subspace_leq,
     subspace_sum,
@@ -185,6 +186,19 @@ def test_build_lattice_tables_follow_relabelling(lat, rng):
     assert set(new.covers) == set(covers)
     for a in range(n):
         assert new.heights[perm[a]] == lat.heights[a]
+        assert new.downset(perm[a]) == sorted(perm[y] for y in lat.downset(a))
+        assert new.upset(perm[a]) == sorted(perm[y] for y in lat.upset(a))
         for b in range(n):
             assert new.join(perm[a], perm[b]) == perm[lat.join(a, b)]
             assert new.meet(perm[a], perm[b]) == perm[lat.meet(a, b)]
+            assert new.leq(perm[a], perm[b]) == lat.leq(a, b)
+    # the closure of the same seed is the same sublattice, up to ids
+    seed = rng.sample(range(n), rng.randint(1, min(3, n)))
+    sub = sublattice_closure(lat, seed)
+    new_sub = sublattice_closure(new, [perm[x] for x in seed])
+    assert sorted(new_sub.names) == sorted(sub.names)
+    assert named_covers(new_sub) == named_covers(sub)
+
+
+def named_covers(lat):
+    return {(lat.names[lo], lat.names[hi]) for lo, hi in lat.covers}

@@ -1,4 +1,5 @@
-"""Branch-and-bound maximum-scheme search, greedy packing, and the probe."""
+"""Branch-and-bound maximum-scheme search, greedy packing, and the
+constant-dimension bound against the search optimum."""
 
 import itertools
 import random
@@ -12,12 +13,14 @@ from lattice_sb import (
     build_named_lattice,
     build_powerset_lattice,
     build_projective_lattice,
-    conjecture_probe,
     greedy_code,
     gv_lower_for_lattice,
+    gv_lower_values,
+    kks_bound,
     make_scheme,
     max_code,
     min_distance,
+    puncture_budget,
     window_ids,
 )
 from lattice_sb.lattice import iter_bits
@@ -139,11 +142,10 @@ def relabelled_pow7():
         (run_search(sub43, 4, (2, 2)), 10, 0),
         (run_search(pow8, 4), 16, 0),
         (run_search(pow7, 3), 16, 0),
-        (lambda: conjecture_probe(3, 4, 2, 4, max_elements=400), 10, 0),
     ],
     ids=["sub52-d2-w12", "sub43-d2-w12", "sub43-d4-w22", "pow8-d4", "pow7-d3", "json-pow7-d3",
          "family-sub52-d2-w12", "family-sub43-d2-w12", "family-sub43-d4-w22",
-         "family-pow8-d4", "family-pow7-d3", "probe-sub43-d4-l2"],
+         "family-pow8-d4", "family-pow7-d3"],
 )
 def test_max_code_pinned_node_counts(run, best_size, nodes):
     res = run()
@@ -307,12 +309,16 @@ def test_max_code_window_atoms(sub3):
 
 
 def test_max_code_empty_window(sub3):
-    # a window above the lattice height is an input error on every lattice,
-    # not an empty search
+    # a window outside the lattice heights is an input error on every
+    # lattice and for every windowed call, not an empty search
     for lat in (sub3, family_free(sub3)):
-        for window in ((9, 9), (2, 9)):
+        for window in ((9, 9), (2, 9), (2, 1)):
             with pytest.raises(ValueError, match="need 0 <= m <= M <= n"):
                 max_code(SearchProblem(lat, 2, window=window))
+            with pytest.raises(ValueError, match="need 0 <= m <= M <= n"):
+                greedy_code(lat, 2, window=window)
+            with pytest.raises(ValueError, match="need 0 <= m <= M <= n"):
+                gv_lower_values(lat, [2], window)
 
 
 def test_max_code_members_form_valid_scheme(sub3):
@@ -409,32 +415,39 @@ def test_greedy_matches_distance_loop(name):
                 assert got == reference_greedy(lat, d, seed, window), (d, window, seed)
 
 
-# --- probe --------------------------------------------------------------------------
+# --- constant-dimension bound against the search optimum ----------------------------
+
+
+def probe(q, n, l, d):
+    """(bound, alpha, search result) for the constant-dimension bound at
+    height l of Sub(F_q^n)."""
+    res = max_code(SearchProblem(build_projective_lattice(n, q), d, (l, l)))
+    return kks_bound(n, l, d, q), puncture_budget(d, False), res
 
 
 def test_probe_known_gap():
-    row = conjecture_probe(2, 4, 2, 4)
-    assert row.bound == 7
-    assert row.best_size == 5
-    assert row.gap == 2
-    assert not row.attained
-    assert row.proven_optimal
-    assert not row.degenerate
+    bound, alpha, res = probe(2, 4, 2, 4)
+    assert bound == 7
+    assert res.best_size == 5
+    assert bound - res.best_size == 2
+    assert res.best_size != bound
+    assert res.proven_optimal
+    assert alpha != 0
 
 
 def test_probe_attained_nondegenerate():
     # no atom pair reaches distance 3, and the punctured bound is also 1
-    row = conjecture_probe(2, 4, 1, 3)
-    assert row.alpha == 1
-    assert row.bound == 1
-    assert row.best_size == 1
-    assert row.attained
-    assert not row.degenerate
+    bound, alpha, res = probe(2, 4, 1, 3)
+    assert alpha == 1
+    assert bound == 1
+    assert res.best_size == 1
+    assert res.best_size == bound
+    assert alpha != 0
 
 
 def test_probe_degenerate_flag():
-    row = conjecture_probe(2, 3, 1, 1)
-    assert row.degenerate  # puncture budget 0 makes the bound trivial
-    assert row.bound == 7
-    assert row.best_size == 7
-    assert row.attained
+    bound, alpha, res = probe(2, 3, 1, 1)
+    assert alpha == 0  # puncture budget 0 makes the bound trivial
+    assert bound == 7
+    assert res.best_size == 7
+    assert res.best_size == bound
