@@ -275,13 +275,7 @@ def log2_string(v: int | None) -> str:
     """log2 of a positive integer to 4 decimals, round-half-even; '' otherwise."""
     if not v or v < 0:
         return ""
-    bl = v.bit_length()
-    if bl <= 512:
-        x = math.log2(v)
-    else:
-        sh = bl - 64
-        x = math.log2(v >> sh) + sh
-    return f"{round(x, 4):.4f}"
+    return f"{round(math.log2(v), 4):.4f}"
 
 
 def _cell(v) -> str:

@@ -78,10 +78,6 @@ def _resolve_source(args) -> lt.Lattice:
         if args.n is None:
             raise lt.LatticeError("--projective needs -n")
         return fq.build_projective_lattice(args.n, args.q, args.max_elements)
-    return _load_json(args)
-
-
-def _load_json(args) -> lt.Lattice:
     return lt.from_json(_read(args.lattice), lt.element_cap(args.max_elements))
 
 
@@ -166,7 +162,7 @@ def cmd_bounds(args) -> int:
         if (args.n, args.n_min, args.n_max) != (None, None, None):
             raise lt.LatticeError("--lattice takes no -n, --n-min or --n-max (n is its height)")
         _check_table(d_values, window)
-        lat = _load_json(args)
+        lat = _resolve_source(args)
         m, M = window or (None, None)
         gvs = bnd.gv_lower_values(lat, d_values, window)
         lsbs = bnd.lsb_values(lat, d_values, window)

@@ -332,38 +332,27 @@ def subspace_of(lat: Lattice, x: int) -> Subspace:
     return _projective_index(n, q)[0][x]
 
 
-def _vec(code: int, n: int) -> tuple[int, ...]:
-    """Integer-coded F_2 vector: bit i of code is coordinate i."""
-    return tuple((code >> i) & 1 for i in range(n))
-
-
 def build_named_lattice(name: str, max_elements: int | None = None) -> Lattice:
     """One of the stock examples: M3, N5, L1, L2.
 
     M3 is Sub(F_2^2) with the classic labels; L2 is the seven-subspace
-    sublattice of Sub(F_2^3) generated by the lines <1>, <2>, <3> and the
-    planes <1,3>, <3,5> (integer-coded vectors), with their join as top.
+    sublattice of Sub(F_2^3) on the zero space, the lines <1>, <2>, <3>, the
+    planes <1,3>, <3,5> and their join V, where <k> is spanned by the vector
+    whose coordinate i is bit i of k.  Its seeds are the keys of its rename
+    table.  The cap applies to the lattice returned, not to the Sub(F_2^n)
+    it is cut from.
     """
     key = name.upper()
     if key == "M3":
-        base = build_projective_lattice(2, 2, max_elements)
+        base = build_projective_lattice(2, 2)
         rename = {"00": "O", "01": "A", "10": "B", "11": "C", "10/01": "I"}
-        return with_names(base, [rename[nm] for nm in base.names])
-    if key == "N5":
-        return build_lattice(["d", "a", "b", "c", "u"], [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
-    if key == "L1":
-        return build_lattice(["{}", "{1}", "{1,2}", "{1,2,3}"], [(0, 1), (1, 2), (2, 3)])
-    if key == "L2":
-        base = build_projective_lattice(3, 2, max_elements)
-        seeds = [
-            zero_subspace(3, 2),
-            rref([_vec(1, 3)], 3, 2),
-            rref([_vec(2, 3)], 3, 2),
-            rref([_vec(3, 3)], 3, 2),
-            rref([_vec(1, 3), _vec(3, 3)], 3, 2),
-            rref([_vec(3, 3), _vec(5, 3)], 3, 2),
-        ]
-        sub = sublattice_closure(base, [subspace_id(base, s) for s in seeds])
+        lat = with_names(base, [rename[nm] for nm in base.names])
+    elif key == "N5":
+        lat = build_lattice(["d", "a", "b", "c", "u"], [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+    elif key == "L1":
+        lat = build_lattice(["{}", "{1}", "{1,2}", "{1,2,3}"], [(0, 1), (1, 2), (2, 3)])
+    elif key == "L2":
+        base = build_projective_lattice(3, 2)
         rename = {
             "000": "0",
             "100": "<1>",
@@ -373,5 +362,9 @@ def build_named_lattice(name: str, max_elements: int | None = None) -> Lattice:
             "101/011": "<3,5>",
             "100/010/001": "V",
         }
-        return with_names(sub, [rename[nm] for nm in sub.names])
-    raise LatticeError(f"unknown lattice name: {name!r} (expected one of {', '.join(NAMED_LATTICES)})")
+        sub = sublattice_closure(base, [base.name_to_id[nm] for nm in rename])
+        lat = with_names(sub, [rename[nm] for nm in sub.names])
+    else:
+        raise LatticeError(f"unknown lattice name: {name!r} (expected one of {', '.join(NAMED_LATTICES)})")
+    check_cap(len(lat), f"named lattice {key}", max_elements)
+    return lat

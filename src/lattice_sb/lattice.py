@@ -504,7 +504,8 @@ def from_json(text: str, max_elements: int | None = None) -> Lattice:
 
     Given max_elements, inputs with more elements than element_cap(max_elements)
     raise CapExceeded before the lattice is built.  Without it the text is
-    trusted as is; the CLI always passes the resolved cap.
+    trusted as is, the one entry point where None means no cap rather than
+    the default; the CLI always passes the resolved cap.
     """
     try:
         obj = json.loads(text)

@@ -200,11 +200,12 @@ _HEADER_RE = re.compile(r"q=(\d+)\s+n=(\d+)$")
 
 
 def parse_scheme_text(text: str, max_elements: int | None = None) -> Scheme:
-    """Parse a scheme file.
+    """Parse a scheme file: its family lattice, and one member per line.
 
     Projective files start with a "q=<q> n=<n>" header followed by subspace
     rows like "101/011"; power-set files are bare binary strings, one subset
-    per line (the support of a binary codeword).
+    per line (the support of a binary codeword), with n the length of the
+    first.  Members are read by parse_element, as --w is.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -213,24 +214,14 @@ def parse_scheme_text(text: str, max_elements: int | None = None) -> Scheme:
     header = _HEADER_RE.match(lines[0])
     if header:
         q, n = int(header.group(1)), int(header.group(2))
-        if len(lines) == 1:
+        members = lines[1:]
+        if not members:
             raise LatticeError("projective scheme file has no members")
         lat = build_projective_lattice(n, q, max_elements)
-        ids = set()
-        for ln in lines[1:]:
-            try:
-                sub = subspace_from_text(ln, n, q)
-            except ValueError as e:
-                raise LatticeError(str(e)) from None
-            ids.add(subspace_id(lat, sub))
-        return make_scheme(lat, ids)
-    n = len(lines[0])
-    for ln in lines:
-        if len(ln) != n or any(ch not in "01" for ch in ln):
-            raise LatticeError(f"bad scheme line {ln!r} (need {n} binary digits)")
-    lat = build_powerset_lattice(n, max_elements)
-    ids = {support_transform([int(ch) for ch in ln]) for ln in lines}
-    return make_scheme(lat, ids)
+    else:
+        members = lines
+        lat = build_powerset_lattice(len(lines[0]), max_elements)
+    return make_scheme(lat, {parse_element(ln, lat) for ln in members})
 
 
 def _family(lat: Lattice) -> tuple[str, int, int | None]:
@@ -239,15 +230,19 @@ def _family(lat: Lattice) -> tuple[str, int, int | None]:
     return lat.family
 
 
-def parse_element(w_desc: str, lat: Lattice) -> int:
-    """The id in lat, a family lattice, of an element in scheme-file
-    notation: subspace rows for Sub(F_q^n), n binary digits for 2^[n]."""
+def parse_element(text: str, lat: Lattice) -> int:
+    """The id in lat, a family lattice, of an element in scheme notation:
+    subspace rows for Sub(F_q^n), n binary digits for 2^[n].  The one reader
+    of that notation, for scheme-file lines and --w alike."""
     family, n, q = _family(lat)
     if family == "projective":
-        return subspace_id(lat, subspace_from_text(w_desc, n, q))
-    if len(w_desc) != n or any(ch not in "01" for ch in w_desc):
-        raise LatticeError(f"puncturing element {w_desc!r} must be {n} binary digits")
-    return support_transform([int(ch) for ch in w_desc])
+        try:
+            return subspace_id(lat, subspace_from_text(text, n, q))
+        except ValueError as e:
+            raise LatticeError(str(e)) from None
+    if len(text) != n or any(ch not in "01" for ch in text):
+        raise LatticeError(f"bad element {text!r} (need {n} binary digits)")
+    return support_transform([int(ch) for ch in text])
 
 
 def scheme_to_text(s: Scheme) -> str:

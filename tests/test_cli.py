@@ -44,6 +44,13 @@ def test_check_named(capsys):
     assert "modular: true" in out
     assert "distributive: false" in out
     assert "whitney: 1,3,1" in out
+    # the cap counts the named lattice, not the Sub(F_2^n) it is cut from
+    code, out, err = run(capsys, "check", "--name", "N5", "--max-elements", "4")
+    assert (code, out) == (2, "")
+    assert "named lattice N5 has 5 elements; cap is 4" in err
+    code, out, _ = run(capsys, "check", "--name", "L2", "--max-elements", "7")
+    assert code == 0
+    assert "elements: 7" in out
 
 
 def test_check_powerset(capsys):
@@ -564,9 +571,13 @@ def test_scheme_puncture_needs_w(capsys, tmp_path):
 
 
 def test_scheme_binary_w_wrong_width(capsys, tmp_path):
+    """A bad element fails the same way as --w and as a scheme-file line."""
     path = write_scheme(tmp_path, "1100\n0011\n")
     code, _, err = run(capsys, "scheme", "puncture", path, "--w", "11")
     assert code == 2
+    assert err == "error: bad element '11' (need 4 binary digits)\n"
+    path = write_scheme(tmp_path, "1100\n11\n", name="bad.txt")
+    assert run(capsys, "scheme", "mindist", path) == (2, "", err)
 
 
 def test_scheme_has_no_as_code_flag(capsys, tmp_path):

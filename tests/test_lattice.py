@@ -11,6 +11,7 @@ from lattice_sb import (
     LatticeError,
     NotALatticeError,
     build_lattice,
+    build_named_lattice,
     build_powerset_lattice,
     build_projective_lattice,
     classify,
@@ -295,8 +296,14 @@ def test_check_cap_message_is_shared(pow3):
         (lambda: build_powerset_lattice(3, 7), "power-set lattice on 3 points has 8 elements; cap is 7"),
         (lambda: build_projective_lattice(2, 2, 4), "Sub(F_2^2) has 5 elements; cap is 4"),
         (lambda: from_json(to_json(pow3), 7), "lattice JSON has 8 elements; cap is 7"),
+        # a named lattice counts its own elements, not those of the lattice it is cut from
+        (lambda: build_named_lattice("M3", 4), "named lattice M3 has 5 elements; cap is 4"),
+        (lambda: build_named_lattice("N5", 4), "named lattice N5 has 5 elements; cap is 4"),
+        (lambda: build_named_lattice("L1", 3), "named lattice L1 has 4 elements; cap is 3"),
+        (lambda: build_named_lattice("L2", 6), "named lattice L2 has 7 elements; cap is 6"),
     ]
     for call, message in cases:
         with pytest.raises(CapExceeded) as exc:
             call()
         assert str(exc.value) == f"{message} {raise_hint}"
+    assert len(build_named_lattice("L2", 7)) == 7  # under Sub(F_2^3)'s 16

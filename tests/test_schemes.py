@@ -223,9 +223,16 @@ def test_parse_projective_scheme():
     assert min_distance(s) == 2
 
 
-def test_parse_rejects_mixed_width():
-    with pytest.raises(LatticeError):
+def test_parse_rejects_mixed_width(sub3):
+    with pytest.raises(LatticeError, match=r"bad element '01' \(need 3 binary digits\)"):
         parse_scheme_text("110\n01\n")
+    # a bad subspace row is a LatticeError in a file and as a lone element
+    for row, message in [("100/01", r"bad subspace row '01' \(need 3 digits\)"),
+                         ("120", "entry out of range for q=2 in row '120'")]:
+        with pytest.raises(LatticeError, match=message):
+            parse_scheme_text(f"q=2 n=3\n100/010\n{row}\n")
+        with pytest.raises(LatticeError, match=message):
+            parse_element(row, sub3)
 
 
 def test_parse_rejects_empty():
