@@ -1,10 +1,12 @@
 """Singleton-type upper bounds and GV-type lower bounds for lattice schemes.
 
-All bound values are exact integers.  The family upper bounds (power-set,
-projective) use closed-form Whitney sums and never materialize a lattice;
-the explicit-lattice variant realizes the bound by repeated coatom
-puncturing of the actual lattice.  The anticode bound, which the search
-uses to stop at its root, is a closed form on the families only.
+All bound values are exact integers.  The family bounds (power-set,
+projective) are closed forms and never materialize a lattice: the upper
+bound is a Whitney sum, and the GV-type lower bound counts ball volumes per
+centre height.  The explicit-lattice variants realize the upper bound by
+repeated coatom puncturing of the actual lattice and the lower bound by a
+pass over every pair of window elements.  The anticode bound, which the
+search uses to stop at its root, is a closed form on the families only.
 """
 
 from __future__ import annotations
@@ -68,12 +70,14 @@ def lsb(family: str, n: int, d: int, q: int | None = None, window: tuple[int, in
 
     Without a window this is the element count of the punctured lattice.
     With a window [m, M] on the power set it is the constant-weight Singleton
-    bound A(n, 2*delta, w) <= C(n-delta+1, w-delta+1).
+    bound A(n, 2*delta, w) <= C(n-delta+1, w-delta+1).  Sub(F_q^n) with
+    n <= 1 is a chain, hence distributive, so it takes the power-set budget,
+    as lsb_for_lattice gives it on the built lattice.
     """
     _check_family(family, q)
     if n < 0:
         raise ValueError("n must be >= 0")
-    a, lo, hi = _budget(d, family == "powerset", n, window)
+    a, lo, hi = _budget(d, family == "powerset" or n <= 1, n, window)
     return sum(whitney_closed_form(family, n - a, k, q) for k in range(lo, hi + 1))
 
 
@@ -204,11 +208,9 @@ def gv_lower_values(lat: Lattice, d_values, window: tuple[int, int] | None = Non
     Balls and centres lie in the window.  Balls depend on the centre
     (projective balls differ by height), so every centre is measured: each
     pair of window elements goes once into a per-centre histogram of
-    distances, the ball of radius r around a centre is a prefix sum of its
-    histogram, and the bound for d takes the largest such ball at r = d - 1.
+    distances, and _gv_from_histograms takes the bound from those.
     """
-    if any(d < 1 for d in d_values):
-        raise ValueError("minimum distance must be >= 1")
+    _check_distances(d_values)
     ids = window_ids(lat, window)
     span = lat.total_height() + 1  # every distance is below this
     hists = [[0] * span for _ in ids]
@@ -218,6 +220,19 @@ def gv_lower_values(lat: Lattice, d_values, window: tuple[int, int] | None = Non
         for k, t in enumerate(lat.distances(c, ids[i + 1:]), i + 1):
             hc[t] += 1
             hists[k][t] += 1
+    return _gv_from_histograms(len(ids), hists, d_values)
+
+
+def _check_distances(d_values):
+    if any(d < 1 for d in d_values):
+        raise ValueError("minimum distance must be >= 1")
+
+
+def _gv_from_histograms(size: int, hists, d_values) -> list[int]:
+    """ceil(size / largest ball of radius d-1) for each d in d_values, where
+    hists[c][t] counts the window elements at distance t from centre c: the
+    ball of radius r around c is a prefix sum of its histogram."""
+    span = len(hists[0])
     vol = [0] * span  # vol[r]: the largest ball of radius r
     for hc in hists:
         ball = 0
@@ -225,28 +240,47 @@ def gv_lower_values(lat: Lattice, d_values, window: tuple[int, int] | None = Non
             ball += count
             if ball > vol[r]:
                 vol[r] = ball
-    return [-(-len(ids) // vol[min(d - 1, span - 1)]) for d in d_values]
+    return [-(-size // vol[min(d - 1, span - 1)]) for d in d_values]
 
 
 def family_gv_values(family: str, n: int, d_values, q: int | None = None,
                      window: tuple[int, int] | None = None, max_elements: int | None = None) -> list[int]:
-    """The GV-type lower bound of a family lattice for each d in d_values.
+    """The GV-type lower bound of a family lattice for each d in d_values,
+    in closed form: no lattice is built.
 
     Unwindowed power-set balls are Hamming balls, which do not depend on the
-    centre, so those values take a closed form and build nothing.  Every
-    other case builds the lattice once, subject to the element cap (raising
-    CapExceeded above it), and takes all values from one gv_lower_values pass.
+    centre.  Every other ball depends only on the centre's height k: the
+    height-j elements whose meet with it has height i number
+    q^((k-i)(j-i)) [k,i]_q [n-k,j-i]_q on Sub(F_q^n), and C(k,i) C(n-k,j-i)
+    on 2^[n], all at distance k + j - 2i.  Summed over the window's heights
+    j, that is one distance histogram per centre height, which gives every
+    d at once, as gv_lower_values does on the built lattice.
+
+    Those cases still raise CapExceeded wherever the family's builder would
+    (fq.family_size), which leaves a bound table's GV cells above the cap
+    blank; the closed form itself needs no cap.
     """
     _check_family(family, q)
-    if any(d < 1 for d in d_values):
-        raise ValueError("minimum distance must be >= 1")
+    _check_distances(d_values)
     if family == "powerset" and window is None:
         return [-(-(2**n) // sum(binomial(n, i) for i in range(min(d - 1, n) + 1))) for d in d_values]
-    if family == "powerset":
-        lat = fq.build_powerset_lattice(n, max_elements)
-    else:
-        lat = fq.build_projective_lattice(n, q, max_elements)
-    return gv_lower_values(lat, d_values, window)
+    fq.family_size(family, n, q, max_elements)
+    check_window(window, n)
+    lo, hi = window or (0, n)
+    levels = range(lo, hi + 1)
+    base = q if family == "projective" else 1
+
+    def count(a: int, b: int) -> int:  # [a,b]_q or C(a,b)
+        return whitney_closed_form(family, a, b, q)
+
+    hists = []
+    for k in levels:
+        hist = [0] * (n + 1)
+        for j in levels:
+            for i in range(max(0, k + j - n), min(k, j) + 1):
+                hist[k + j - 2 * i] += base ** ((k - i) * (j - i)) * count(k, i) * count(n - k, j - i)
+        hists.append(hist)
+    return _gv_from_histograms(sum(count(n, k) for k in levels), hists, d_values)
 
 
 def gv_lower(family: str, n: int, d: int, q: int | None = None, max_elements: int | None = None) -> int:

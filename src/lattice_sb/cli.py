@@ -301,7 +301,11 @@ def cmd_search(args) -> int:
     problem = srch.SearchProblem(lat, args.d, window, args.budget_nodes, args.budget_secs)
     res = srch.max_code(problem)
 
-    lower = bnd.gv_lower_for_lattice(lat, args.d, window)
+    if lat.family is not None:  # the closed form, not a second pass over the window
+        family, n, q = lat.family
+        lower = bnd.family_gv_values(family, n, [args.d], q, window, args.max_elements)[0]
+    else:
+        lower = bnd.gv_lower_for_lattice(lat, args.d, window)
     try:
         upper = bnd.lsb_for_lattice(lat, args.d, window)
     except bnd.NotModularError:

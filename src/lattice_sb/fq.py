@@ -229,17 +229,34 @@ def subspace_from_text(text: str, ambient: int, q: int) -> Subspace:
 # --- lattice constructors ----------------------------------------------------
 
 
+def family_size(family: str, n: int, q: int | None, max_elements: int | None = None) -> int:
+    """The element count of a family lattice, after the checks its builder
+    makes before building: the builder and the closed forms that stand in for
+    it raise CapExceeded (or ValueError on bad input) at the same inputs.
+    Power-set n above 20 is over every cap, whatever max_elements says.
+    """
+    if family == "powerset":
+        if not 0 <= n <= 20:
+            error = ValueError if n < 0 else CapExceeded
+            raise error("power-set lattice supported for 0 <= n <= 20")
+        size = 1 << n
+        check_cap(size, f"power-set lattice on {n} points", max_elements)
+        return size
+    check_field(q)
+    if n < 0:
+        raise ValueError("ambient dimension must be >= 0")
+    size = sum(gaussian(n, k, q) for k in range(n + 1))
+    check_cap(size, f"Sub(F_{q}^{n})", max_elements)
+    return size
+
+
 def build_powerset_lattice(n: int, max_elements: int | None = None) -> Lattice:
     """The lattice of subsets of {1..n}; element ids are subset bitmasks.
 
     The result records its family as ("powerset", n, None).  n above 20 is
     over every cap, so it raises CapExceeded whatever max_elements says.
     """
-    if not 0 <= n <= 20:
-        error = ValueError if n < 0 else CapExceeded
-        raise error("power-set lattice supported for 0 <= n <= 20")
-    size = 1 << n
-    check_cap(size, f"power-set lattice on {n} points", max_elements)
+    size = family_size("powerset", n, None, max_elements)
     names = ["{" + ",".join(str(i + 1) for i in iter_bits(s)) + "}" for s in range(size)]
     covers = [(s, s | (1 << i)) for s in range(size) for i in range(n) if not (s >> i) & 1]
     lat = build_lattice(names, covers)
@@ -256,11 +273,7 @@ def build_projective_lattice(n: int, q: int, max_elements: int | None = None) ->
     result records its family as ("projective", n, q); n = 0 gives the
     one-element lattice of the zero space.
     """
-    check_field(q)
-    if n < 0:
-        raise ValueError("ambient dimension must be >= 0")
-    size = sum(gaussian(n, k, q) for k in range(n + 1))
-    check_cap(size, f"Sub(F_{q}^{n})", max_elements)
+    family_size("projective", n, q, max_elements)
     subs = _projective_index(n, q)[0]
     masks = _vector_masks(subs)
     by_dim: list[list[int]] = [[] for _ in range(n + 1)]

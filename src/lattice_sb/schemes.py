@@ -205,7 +205,8 @@ def parse_scheme_text(text: str, max_elements: int | None = None) -> Scheme:
     Projective files start with a "q=<q> n=<n>" header followed by subspace
     rows like "101/011"; power-set files are bare binary strings, one subset
     per line (the support of a binary codeword), with n the length of the
-    first.  Members are read by parse_element, as --w is.
+    first.  A first line that is neither is rejected before any lattice is
+    built.  Members are read by parse_element, as --w is.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -218,6 +219,8 @@ def parse_scheme_text(text: str, max_elements: int | None = None) -> Scheme:
         if not members:
             raise LatticeError("projective scheme file has no members")
         lat = build_projective_lattice(n, q, max_elements)
+    elif lines[0].strip("01"):
+        raise LatticeError(f"bad first line {lines[0]!r} (need a 'q=<q> n=<n>' header or binary digits)")
     else:
         members = lines
         lat = build_powerset_lattice(len(lines[0]), max_elements)

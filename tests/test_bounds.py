@@ -183,11 +183,9 @@ def test_lsb_for_lattice_window_equals_closed_form(family, n, q, lat):
 
 @pytest.mark.parametrize("family,n,q,lat", FAMILY_LATTICES, ids=FAMILY_IDS)
 def test_lsb_for_lattice_equals_lsb(family, n, q, lat):
-    # Sub(F_q^1) is a 2-chain, distributive, so it takes the power-set budget
-    like = family if n >= 2 else "powerset"
     for d in range(1, 2 * n + 3):
         try:
-            want = lsb(like, n, d, q)
+            want = lsb(family, n, d, q)
         except ValueError:
             with pytest.raises(ValueError, match="exceeds lattice height"):
                 lsb_for_lattice(lat, d)
@@ -389,17 +387,20 @@ def test_gv_lower_values_match_per_d(name, request):
         gv_lower_values(lat, [2, 0])
 
 
-@pytest.mark.parametrize("family,q,ns", [("powerset", None, range(6)), ("projective", 2, range(1, 5))])
+@pytest.mark.parametrize("family,q,ns", [("powerset", None, range(9)), ("projective", 2, range(6)),
+                                         ("projective", 3, range(5)), ("projective", 5, range(4))])
 def test_family_gv_values_match_built_lattice(family, q, ns):
-    """The family rule, closed form or built lattice, gives the GV values of
-    the lattice it names, on every window of 2^[n], n <= 5, and Sub(F_2^n), n <= 4."""
+    """The closed form gives the GV values of the lattice it names, on every
+    window and every d = 1..2n+1 of 2^[n], n <= 8, Sub(F_2^n), n <= 5,
+    Sub(F_3^n), n <= 4, and Sub(F_5^n), n <= 3."""
+    cap = 400
     for n in ns:
-        lat = build_powerset_lattice(n) if family == "powerset" else build_projective_lattice(n, q)
+        lat = build_powerset_lattice(n, cap) if family == "powerset" else build_projective_lattice(n, q, cap)
         ds = list(range(1, 2 * n + 2))
         windows = [None] + [(lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1)]
         for window in windows:
-            assert family_gv_values(family, n, ds, q, window) == gv_lower_values(lat, ds, window), (n, window)
-        assert [gv_lower(family, n, d, q) for d in ds] == gv_lower_values(lat, ds), n
+            assert family_gv_values(family, n, ds, q, window, cap) == gv_lower_values(lat, ds, window), (n, window)
+        assert [gv_lower(family, n, d, q, cap) for d in ds] == gv_lower_values(lat, ds), n
 
 
 def test_family_gv_values_cap_and_input_errors():
@@ -414,6 +415,12 @@ def test_family_gv_values_cap_and_input_errors():
         family_gv_values("powerset", 4, [2, 0])
     with pytest.raises(ValueError):
         family_gv_values("projective", 3, [2])  # no q
+    with pytest.raises(ValueError, match="q must be a prime"):
+        family_gv_values("projective", 3, [2], 4)
+    with pytest.raises(CapExceeded):  # power-set n > 20 is over every cap, as in the builder
+        family_gv_values("powerset", 21, [2], window=(1, 1), max_elements=1 << 22)
+    with pytest.raises(ValueError, match="need 0 <= m <= M <= n"):
+        family_gv_values("projective", 3, [2], 2, (1, 4))
 
 
 # --- report layer ----------------------------------------------------------------------

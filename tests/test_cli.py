@@ -7,13 +7,16 @@ import sys
 import pytest
 
 from lattice_sb import (
+    BOUND_CSV_HEADER,
     BoundReport,
     CapExceeded,
     Lattice,
     SearchProblem,
     build_lattice,
     build_powerset_lattice,
-    gv_lower,
+    gv_lower_for_lattice,
+    gv_lower_values,
+    log2_string,
     lsb,
     lsb_for_lattice,
     make_scheme,
@@ -23,7 +26,9 @@ from lattice_sb import (
     render_report_csv,
     to_json,
 )
+from lattice_sb import bounds as bnd
 from lattice_sb import fq
+from lattice_sb import schemes as sch
 from lattice_sb import search as srch
 from lattice_sb.cli import main
 
@@ -277,37 +282,46 @@ def test_bounds_lattice_classifies_once(capsys, tmp_path, monkeypatch, window):
     assert calls == ["is_modular"] + (["is_distributive"] if not window else [])
 
 
-def test_bounds_builds_each_projective_lattice_once(capsys, monkeypatch):
-    """One build per n, with the CSV each row would get from its own gv_lower;
-    Sub(F_2^5) is over the cap, so its gv_lower cells stay blank."""
+def test_bounds_and_fig5_build_no_lattice(capsys, monkeypatch):
+    """The family GV cells come from the closed form: bounds and fig5 build no
+    lattice, and print the values of each n's built lattice.  Sub(F_2^5) and
+    2^[7] are over the cap, so their gv_lower cells stay blank."""
     cap = 100
-    rows = []
-    for n in range(2, 6):
-        for d in range(2, 7):
-            if puncture_budget(d, False) > n:
-                continue
-            try:
-                gv = gv_lower("projective", n, d, 2, cap)
-            except CapExceeded:
-                gv = None
-            value = lsb("projective", n, d, 2)
-            rows.append(BoundReport("projective", 2, n, d, lsb_value=value, gv_value=gv))
-    want = render_report_csv(rows)
+
+    def built_gv(family, n, d, window=None):
+        try:
+            lat = (fq.build_projective_lattice(n, 2, cap) if family == "projective"
+                   else build_powerset_lattice(n, cap))
+        except CapExceeded:
+            return None
+        return gv_lower_values(lat, [d], window)[0]
+
+    projective = [BoundReport("projective", 2, n, d, lsb_value=lsb("projective", n, d, 2),
+                              gv_value=built_gv("projective", n, d))
+                  for n in range(2, 6) for d in range(2, 7) if puncture_budget(d, False) <= n]
+    want = render_report_csv(projective)
     assert want.endswith("\nprojective,2,5,6,,,16,4.0000,,,\n")
+    want_fig5 = "n,lsb_log2,gv_lower_log2\n" + "".join(
+        f"{r.n},{log2_string(r.lsb_value)},{log2_string(r.gv_value)}\n" for r in projective if r.d == 4)
+    powerset = [BoundReport("powerset", None, n, 3, 1, 2, lsb("powerset", n, 3, window=(1, 2)),
+                            built_gv("powerset", n, 3, (1, 2)))
+                for n in range(2, 8)]
+    want_powerset = render_report_csv(powerset)
+    assert want_powerset.endswith("\npowerset,,7,3,1,2,7,2.8074,,,\n")
 
-    built = []
-    real = fq.build_projective_lattice
+    def no_build(*args, **kwargs):
+        raise AssertionError("family lattice built")
 
-    def counting(n, q, max_elements=None):
-        built.append(n)
-        return real(n, q, max_elements)
-
-    monkeypatch.setattr(fq, "build_projective_lattice", counting)
+    monkeypatch.setattr(fq, "build_projective_lattice", no_build)
+    monkeypatch.setattr(fq, "build_powerset_lattice", no_build)
     code, out, _ = run(capsys, "bounds", "--projective", "-q", "2", "--n-min", "2", "--n-max", "5",
                        "--d-min", "2", "--d-max", "6", "--max-elements", str(cap))
-    assert code == 0
-    assert out == want
-    assert built == [2, 3, 4, 5]
+    assert (code, out) == (0, want)
+    code, out, _ = run(capsys, "fig5", "--n-min", "2", "--n-max", "5", "--max-elements", str(cap))
+    assert (code, out) == (0, want_fig5)
+    code, out, _ = run(capsys, "bounds", "--powerset", "--n-min", "2", "--n-max", "7", "-d", "3",
+                       "--window", "1", "2", "--max-elements", str(cap))
+    assert (code, out) == (0, want_powerset)
 
 
 def test_projective_commands_above_q7(capsys):
@@ -437,10 +451,11 @@ def test_fig5_writes_plot_script(capsys, tmp_path):
 
 
 def test_fig5_skips_rows_that_do_not_fit_n(capsys):
-    # like bounds: alpha = 2 does not fit n = 1, so that row is skipped, not an error
+    # like bounds: the chain Sub(F_2^1) takes alpha = 5, which does not fit
+    # n = 1, so that row is skipped, not an error
     code, out, err = run(capsys, "fig5", "--n-min", "1", "--n-max", "5", "-d", "6")
     assert code == 0
-    assert err == "warning: skipping n=1 d=6 (puncture budget 2 exceeds lattice height 1)\n"
+    assert err == "warning: skipping n=1 d=6 (puncture budget 5 exceeds lattice height 1)\n"
     assert [line.split(",")[0] for line in out.strip().split("\n")[1:]] == ["2", "3", "4", "5"]
 
 
@@ -578,6 +593,20 @@ def test_scheme_binary_w_wrong_width(capsys, tmp_path):
     assert err == "error: bad element '11' (need 4 binary digits)\n"
     path = write_scheme(tmp_path, "1100\n11\n", name="bad.txt")
     assert run(capsys, "scheme", "mindist", path) == (2, "", err)
+
+
+def test_scheme_bad_header_is_a_bad_line(capsys, tmp_path, monkeypatch):
+    # a mistyped header is reported as itself, before any lattice is built,
+    # not read as the first row of a power-set file
+    def no_build(*args, **kwargs):
+        raise AssertionError("lattice built for a bad header")
+
+    monkeypatch.setattr(sch, "build_powerset_lattice", no_build)
+    monkeypatch.setattr(sch, "build_projective_lattice", no_build)
+    path = write_scheme(tmp_path, "q=2 n =4\n1000\n")
+    code, out, err = run(capsys, "scheme", "mindist", path)
+    assert (code, out) == (2, "")
+    assert err == "error: bad first line 'q=2 n =4' (need a 'q=<q> n=<n>' header or binary digits)\n"
 
 
 def test_scheme_has_no_as_code_flag(capsys, tmp_path):
@@ -742,13 +771,19 @@ def test_search_checks_window_before_searching(capsys, tmp_path, monkeypatch, so
 
 
 def test_search_projective_line_is_a_chain(capsys):
-    # Sub(F_q^1) is a 2-chain: distributive, so d - 1 punctures
+    # Sub(F_q^1) is a 2-chain: distributive, so d - 1 punctures, in search
+    # and in bounds alike
     code, out, _ = run(capsys, "search", "--projective", "-n", "1", "-d", "2")
     assert code == 0
     assert json.loads(out)["bound"] == 1
     code, _, err = run(capsys, "search", "--projective", "-n", "1", "-d", "3")
     assert code == 2
     assert "exceeds lattice height" in err
+    code, out, _ = run(capsys, "bounds", "--projective", "-n", "1", "-d", "2")
+    assert (code, out.split("\n")[1]) == (0, "projective,2,1,2,,,1,0.0000,1,0.0000,")
+    code, out, err = run(capsys, "bounds", "--projective", "-n", "1", "-d", "3")
+    assert (code, out) == (0, BOUND_CSV_HEADER + "\n")
+    assert err == "warning: skipping n=1 d=3 (puncture budget 2 exceeds lattice height 1)\n"
 
 
 def test_search_powerset_window_sandwich(capsys):
@@ -758,6 +793,42 @@ def test_search_powerset_window_sandwich(capsys):
     assert obj["best_size"] == 6
     assert obj["bound"] == 6
     assert obj["sandwich"] == "PASS"
+
+
+@pytest.mark.parametrize("n,q,d,window", [(5, 2, 2, (1, 2)), (4, 3, 2, (1, 2)), (4, 3, 4, (2, 2)),
+                                           (8, None, 4, None), (4, None, 3, (1, 3))])
+def test_search_family_gv_is_the_built_lattices(capsys, monkeypatch, n, q, d, window):
+    # a family search takes gv_lower from the closed form, with no pass over
+    # the window, and it equals the pass on the lattice it searched
+    if q is None:
+        lat = build_powerset_lattice(n, 400)
+        source = ("--powerset", str(n))
+    else:
+        lat = fq.build_projective_lattice(n, q, 400)
+        source = ("--projective", "-n", str(n), "-q", str(q))
+    want = gv_lower_for_lattice(lat, d, window)
+
+    def no_pass(*args):
+        raise AssertionError("GV pass over a family lattice")
+
+    monkeypatch.setattr(bnd, "gv_lower_for_lattice", no_pass)
+    argv = source + ("-d", str(d), "--max-elements", "400", "--budget-nodes", "1")
+    code, out, _ = run(capsys, "search", *argv, *(("--window", *map(str, window)) if window else ()))
+    assert code in (0, 3)
+    assert json.loads(out)["gv_lower"] == want
+
+
+def test_search_json_lattice_takes_the_gv_pass(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "pow4.json"
+    path.write_text(to_json(build_powerset_lattice(4)))
+    calls = []
+    real = bnd.gv_lower_for_lattice
+    monkeypatch.setattr(bnd, "gv_lower_for_lattice",
+                        lambda *args: calls.append(args[1:]) or real(*args))
+    code, out, _ = run(capsys, "search", "--lattice", str(path), "-d", "3", "--window", "1", "3")
+    assert code == 0
+    assert calls == [(3, (1, 3))]
+    assert json.loads(out)["gv_lower"] == gv_lower_for_lattice(build_powerset_lattice(4), 3, (1, 3))
 
 
 @pytest.mark.parametrize("command", [("check",), ("search", "-d", "2")])
