@@ -65,20 +65,28 @@ def _pick_source(args) -> str:
     return picked[0]
 
 
-def _resolve_source(args) -> lt.Lattice:
-    source = _pick_source(args)
-    if source == "name":
-        return fq.build_named_lattice(args.name, args.max_elements)
+def _family_source(args, source: str) -> tuple[str, int, int | None]:
+    """(family, n, q) of a --powerset or --projective source."""
     if source == "powerset":
         bare = args.powerset is True  # N comes from -n
         if bare == (args.n is None):
             raise lt.LatticeError("give N once: --powerset N or --powerset -n N")
-        return fq.build_powerset_lattice(args.n if bare else args.powerset, args.max_elements)
-    if source == "projective":
-        if args.n is None:
-            raise lt.LatticeError("--projective needs -n")
-        return fq.build_projective_lattice(args.n, args.q, args.max_elements)
-    return lt.from_json(_read(args.lattice), lt.element_cap(args.max_elements))
+        return "powerset", args.n if bare else args.powerset, None
+    if args.n is None:
+        raise lt.LatticeError("--projective needs -n")
+    return "projective", args.n, args.q
+
+
+def _resolve_source(args) -> lt.Lattice:
+    source = _pick_source(args)
+    if source == "name":
+        return fq.build_named_lattice(args.name, args.max_elements)
+    if source == "lattice":
+        return lt.from_json(_read(args.lattice), lt.element_cap(args.max_elements))
+    family, n, q = _family_source(args, source)
+    if family == "powerset":
+        return fq.build_powerset_lattice(n, args.max_elements)
+    return fq.build_projective_lattice(n, q, args.max_elements)
 
 
 # --- check ---------------------------------------------------------------------
@@ -296,20 +304,25 @@ def _num(v) -> str:
 
 
 def cmd_search(args) -> int:
-    lat = _resolve_source(args)
     window = tuple(args.window) if args.window else None
+    source = _pick_source(args)
+    if source in ("powerset", "projective"):  # the window alone, from masks
+        lat = fq.family_window(*_family_source(args, source), window, args.max_elements)
+    else:
+        lat = _resolve_source(args)
     problem = srch.SearchProblem(lat, args.d, window, args.budget_nodes, args.budget_secs)
     res = srch.max_code(problem)
 
-    if lat.family is not None:  # the closed form, not a second pass over the window
+    if lat.family is not None:  # closed forms, not passes over the lattice
         family, n, q = lat.family
         lower = bnd.family_gv_values(family, n, [args.d], q, window, args.max_elements)[0]
+        upper = bnd.lsb(family, n, args.d, q, window)
     else:
         lower = bnd.gv_lower_for_lattice(lat, args.d, window)
-    try:
-        upper = bnd.lsb_for_lattice(lat, args.d, window)
-    except bnd.NotModularError:
-        upper = None
+        try:
+            upper = bnd.lsb_for_lattice(lat, args.d, window)
+        except bnd.NotModularError:
+            upper = None
     if upper is None:
         sandwich = "SKIPPED (non-modular lattice)"
     elif res.best_size > upper:

@@ -26,6 +26,7 @@ from .lattice import (
     LatticeError,
     build_lattice,
     check_cap,
+    check_window,
     iter_bits,
     sublattice_closure,
     with_names,
@@ -257,11 +258,15 @@ def build_powerset_lattice(n: int, max_elements: int | None = None) -> Lattice:
     over every cap, so it raises CapExceeded whatever max_elements says.
     """
     size = family_size("powerset", n, None, max_elements)
-    names = ["{" + ",".join(str(i + 1) for i in iter_bits(s)) + "}" for s in range(size)]
+    names = [_subset_name(s) for s in range(size)]
     covers = [(s, s | (1 << i)) for s in range(size) for i in range(n) if not (s >> i) & 1]
     lat = build_lattice(names, covers)
     lat.family = ("powerset", n, None)
     return lat
+
+
+def _subset_name(s: int) -> str:
+    return "{" + ",".join(str(i + 1) for i in iter_bits(s)) + "}"
 
 
 def build_projective_lattice(n: int, q: int, max_elements: int | None = None) -> Lattice:
@@ -269,21 +274,27 @@ def build_projective_lattice(n: int, q: int, max_elements: int | None = None) ->
 
     Ids follow all_subspaces(n, q) order, so height equals dimension, and
     the name of an element is subspace_name of its subspace.  Covers join
-    subspaces of consecutive dimensions whose vector masks are nested.  The
-    result records its family as ("projective", n, q); n = 0 gives the
-    one-element lattice of the zero space.
+    subspaces of consecutive dimensions whose vector masks are nested.  Each
+    subspace is keyed by its smallest nonzero vector (the zero space by the
+    zero vector), and a (k+1)-space b is tested only against the k-spaces
+    whose key lies in b: a k-space inside b has its key in b.  The result
+    records its family as ("projective", n, q); n = 0 gives the one-element
+    lattice of the zero space.
     """
     family_size("projective", n, q, max_elements)
     subs = _projective_index(n, q)[0]
     masks = _vector_masks(subs)
-    by_dim: list[list[int]] = [[] for _ in range(n + 1)]
+    by_key: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
     for i, s in enumerate(subs):
-        by_dim[s.dim].append(i)
+        rest = masks[i] ^ 1  # the zero vector is bit 0, and keys the zero space
+        by_key[s.dim].setdefault((rest & -rest).bit_length() - 1 if rest else 0, []).append(i)
+    key_masks = [sum(1 << v for v in level) for level in by_key]
     covers = []
-    for k in range(n):
-        for b in by_dim[k + 1]:
-            outside = ~masks[b]
-            covers += [(a, b) for a in by_dim[k] if not masks[a] & outside]
+    for b, s in enumerate(subs):
+        if s.dim:
+            mb, below = masks[b], by_key[s.dim - 1]
+            keys = mb & key_masks[s.dim - 1]
+            covers += [(a, b) for v in iter_bits(keys) for a in below[v] if not masks[a] & ~mb]
     lat = build_lattice([subspace_name(s) for s in subs], covers)
     lat.family = ("projective", n, q)
     return lat
@@ -314,6 +325,76 @@ def _vector_masks(subs: Sequence[Subspace]) -> list[int]:
             mask |= 1 << c
         masks.append(mask)
     return masks
+
+
+class FamilyWindow:
+    """The elements of a family lattice at the heights of a window, with the
+    height distance, and no Lattice behind them.
+
+    Local ids 0..m-1 follow the lattice ids ascending, so names, heights and
+    the order of members are those of the built lattice.  Each element
+    carries a mask: its vectors on Sub(F_q^n), its subset on 2^[n].  On
+    Sub(F_q^n) the meet of a and b is the mask intersection, so
+    d(a, b) = h(a) + h(b) - 2 h(a ^ b) takes h(a ^ b) as log_q of the count
+    of common vectors: the subspace distance.  On 2^[n] it is the Hamming
+    distance, the popcount of a ^ b.  The search, greedy packing and
+    make_scheme read only names, heights, height, total_height, distance,
+    distances, family and len, which a Lattice offers too.
+    """
+
+    def __init__(self, family: tuple, names, heights, masks, meet_height):
+        self.family = family  # (family, n, q), as a family builder records it
+        self.names = tuple(names)
+        self.heights = tuple(heights)
+        self._masks = tuple(masks)
+        self._meet_height = meet_height  # common vectors -> h(a ^ b); None on 2^[n]
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def height(self, x: int) -> int:
+        return self.heights[x]
+
+    def total_height(self) -> int:
+        """The height of the whole lattice, n, whatever the window."""
+        return self.family[1]
+
+    def distance(self, a: int, b: int) -> int:
+        return self.distances(a, (b,))[0]
+
+    def distances(self, a: int, others: Iterable[int]) -> list[int]:
+        """[distance(a, b) for b in others]."""
+        h, masks, meet = self.heights, self._masks, self._meet_height
+        ha, ma = h[a], masks[a]
+        if meet is None:
+            return [(ma ^ masks[b]).bit_count() for b in others]
+        return [ha + h[b] - 2 * meet[(ma & masks[b]).bit_count()] for b in others]
+
+
+def family_window(family: str, n: int, q: int | None, window: tuple[int, int] | None = None,
+                  max_elements: int | None = None) -> FamilyWindow:
+    """The window of 2^[n] or Sub(F_q^n) as a FamilyWindow, without building
+    the lattice.
+
+    Raises as the family's builder would (fq.family_size, which counts the
+    whole lattice against the cap), then ValueError for a window outside the
+    heights 0..n, with the text of the search's own window check.  Search it
+    with the window it was made for: it holds no other element.
+    """
+    family_size(family, n, q, max_elements)
+    check_window(window, n)
+    lo, hi = window or (0, n)
+    if family == "powerset":
+        masks = [s for s in range(1 << n) if lo <= s.bit_count() <= hi]
+        names = [_subset_name(s) for s in masks]
+        heights = [s.bit_count() for s in masks]
+        return FamilyWindow(("powerset", n, None), names, heights, masks, None)
+    subs = [s for k in range(hi + 1) for s in enumerate_grassmannian(n, k, q)]
+    masks = _vector_masks(subs)  # it needs every dimension up to hi
+    keep = [i for i, s in enumerate(subs) if s.dim >= lo]
+    return FamilyWindow(("projective", n, q), [subspace_name(subs[i]) for i in keep],
+                        [subs[i].dim for i in keep], [masks[i] for i in keep],
+                        {q**k: k for k in range(n + 1)})
 
 
 def subspace_name(sub: Subspace) -> str:

@@ -53,11 +53,7 @@ def make_scheme(lat: Lattice, members: Iterable[int]) -> Scheme:
     hs = [lat.heights[x] for x in ids]
     d = None
     if len(ids) >= 2:
-        d = min(
-            lat.distance(ids[i], ids[j])
-            for i in range(len(ids))
-            for j in range(i + 1, len(ids))
-        )
+        d = min(min(lat.distances(a, ids[i + 1:])) for i, a in enumerate(ids[:-1]))
     return Scheme(lat, frozenset(ids), d, min(hs), max(hs))
 
 

@@ -24,15 +24,21 @@ Sub(F_2^5), d=2, window (1,2) the whole-window greedy takes the 31 points,
 which block every line, while the line level alone gives all 155 lines,
 the optimum.  A higher start only prunes more, so it never adds nodes.
 
+The search reads its lattice only through heights, total_height, distance,
+distances, family and len, and asks is_modular() only where family is None.
+fq.FamilyWindow offers the same for a window of 2^[n] or Sub(F_q^n), built
+from subset bitmasks or vector masks; the command line searches those
+families on it instead of building the lattice.
+
 The search stops at a cap, an upper bound on the clique size, taken as the
 smaller of two bounds where either holds.  On a lattice made by a family
-builder (`Lattice.family`), bounds.anticode_bound gives one.  It is sound
-because the graph is vertex-transitive there (S_n acts transitively on 2^[n]
-and on each of its levels, GL(n, q) on each level of Sub(F_q^n)), and on a
-vertex-transitive graph a clique has at most |V| / |I| vertices for any
-coclique I.  A lattice from JSON, a rebuild or a sublattice carries no
-family: nothing checks its graph for that symmetry, so it gets no anticode
-bound.  The other is the sphere-packing cap.  On a modular lattice the
+builder (`Lattice.family`), or on a family window, bounds.anticode_bound
+gives one.  It is sound because the graph is vertex-transitive there (S_n
+acts transitively on 2^[n] and on each of its levels, GL(n, q) on each
+level of Sub(F_q^n)), and on a vertex-transitive graph a clique has at most
+|V| / |I| vertices for any coclique I.  A lattice from JSON, a rebuild or
+a sublattice carries no family: nothing checks its graph for that
+symmetry, so it gets no anticode bound.  The other is the sphere-packing cap.  On a modular lattice the
 height is a valuation, so the height distance is a metric (Birkhoff,
 Lattice Theory, ch. X), and the balls of radius t = floor((d-1)/2) around
 the members of a scheme are pairwise disjoint: a scheme of the window W has
@@ -65,7 +71,7 @@ from .schemes import Scheme, make_scheme
 
 
 class SearchProblem(NamedTuple):
-    lattice: Lattice
+    lattice: Lattice  # or an fq.FamilyWindow
     d: int
     window: tuple[int, int] | None = None
     budget_nodes: int = 10_000_000
@@ -73,7 +79,7 @@ class SearchProblem(NamedTuple):
 
 
 class SearchResult(NamedTuple):
-    members: tuple[int, ...]  # lattice element ids, sorted
+    members: tuple[int, ...]  # element ids of problem.lattice, sorted
     best_size: int
     proven_optimal: bool
     nodes: int

@@ -818,6 +818,28 @@ def test_search_family_gv_is_the_built_lattices(capsys, monkeypatch, n, q, d, wi
     assert json.loads(out)["gv_lower"] == want
 
 
+def test_search_line_packing_of_pg52_builds_no_lattice(capsys, monkeypatch):
+    # A_2(6,4;2) = 21: greedy meets the anticode cap 651 / 31 = 21 at the
+    # root, read off the 651 lines' vector masks; no Lattice is built, by any
+    # module that holds the constructor
+    def no_build(*args, **kwargs):
+        raise AssertionError("lattice built for a family search")
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("lattice_sb")]:
+        for attr, value in list(vars(mod).items()):
+            if value is build_lattice:
+                monkeypatch.setattr(mod, attr, no_build)
+    code, out, _ = run(capsys, "search", "--projective", "-n", "6", "-q", "2", "-d", "4",
+                       "--window", "2", "2", "--max-elements", "3000")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["best_size"], obj["proven_optimal"], obj["nodes"]) == (21, True, 0)
+    assert (obj["bound"], obj["sandwich"]) == (lsb("projective", 6, 4, 2, (2, 2)), "PASS")
+    lines = [fq.subspace_from_text(nm, 6, 2) for nm in obj["scheme"]]
+    assert len(set(lines)) == 21 and all(s.dim == 2 for s in lines)
+    assert all(fq.subspace_intersect(a, b).dim == 0 for i, a in enumerate(lines) for b in lines[i + 1:])
+
+
 def test_search_json_lattice_takes_the_gv_pass(capsys, monkeypatch, tmp_path):
     path = tmp_path / "pow4.json"
     path.write_text(to_json(build_powerset_lattice(4)))

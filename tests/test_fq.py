@@ -1,6 +1,7 @@
 """Prime-field linear algebra and the lattice builders that sit on it."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,7 @@ from lattice_sb import (
     build_powerset_lattice,
     build_projective_lattice,
     enumerate_grassmannian,
+    family_window,
     from_json,
     gaussian,
     rref,
@@ -23,6 +25,7 @@ from lattice_sb import (
     subspace_sum,
     subspace_to_text,
     to_json,
+    window_ids,
 )
 from lattice_sb.fq import (
     contains_vector,
@@ -240,6 +243,17 @@ def test_projective_cover_means_one_dim_step(sub3):
         assert sub3.height(hi) == sub3.height(lo) + 1
 
 
+@pytest.mark.parametrize("n, q", [(0, 2), (1, 3), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 5), (2, 7)])
+def test_projective_covers_are_the_dimension_steps(n, q):
+    # the keyed scan finds exactly the nested pairs of consecutive dimensions,
+    # decided here by elimination
+    lat = build_projective_lattice(n, q, max_elements=200)
+    subs = list(all_subspaces(n, q))
+    want = sorted((a, b) for a, sa in enumerate(subs) for b, sb in enumerate(subs)
+                  if sb.dim == sa.dim + 1 and subspace_leq(sa, sb))
+    assert list(lat.covers) == want
+
+
 def test_projective_cap():
     with pytest.raises(CapExceeded, match="raise via max_elements"):
         build_projective_lattice(5, 2)
@@ -250,6 +264,66 @@ def test_projective_cap():
 def test_projective_rejects_nonprime():
     with pytest.raises(ValueError):
         build_projective_lattice(3, 4)
+
+
+# --- family windows ------------------------------------------------------------------
+
+
+def built_family(family, n, q):
+    if family == "powerset":
+        return build_powerset_lattice(n, max_elements=400)
+    return build_projective_lattice(n, q, max_elements=400)
+
+
+def all_windows(n):
+    return [None] + [(lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1)]
+
+
+FAMILIES = ([("powerset", n, None) for n in range(9)] + [("projective", n, 2) for n in range(6)]
+            + [("projective", n, 3) for n in range(5)])
+
+
+@pytest.mark.parametrize("family, n, q", FAMILIES,
+                         ids=[f"{f[:3]}{n}{q or ''}" for f, n, q in FAMILIES])
+def test_family_window_matches_built_lattice(family, n, q):
+    lat = built_family(family, n, q)
+    for window in all_windows(n):
+        win = family_window(family, n, q, window, max_elements=400)
+        ids = window_ids(lat, window)  # local id i is lattice id ids[i]
+        assert len(win) == len(ids)
+        assert win.names == tuple(lat.names[x] for x in ids)
+        assert win.heights == tuple(lat.heights[x] for x in ids)
+        assert [win.height(i) for i in range(len(win))] == list(win.heights)
+        assert (win.family, win.total_height()) == (lat.family, lat.total_height())
+    # the full window is the whole lattice, id for id: every pairwise distance
+    win = family_window(family, n, q, None, max_elements=400)
+    everyone = range(len(lat))
+    for a in everyone:
+        assert win.distances(a, everyone) == lat.distances(a, everyone)
+        b = len(lat) - 1 - a
+        assert win.distance(a, b) == lat.distance(a, b)
+
+
+@pytest.mark.parametrize("args", [("powerset", 9, None, None, None), ("powerset", -1, None, None, None),
+                                  ("powerset", 21, None, None, 10**7),
+                                  ("projective", 5, 2, (1, 2), None), ("projective", 3, 4, None, None),
+                                  ("projective", -1, 2, None, None)])
+def test_family_window_raises_as_the_builder(args):
+    family, n, q, window, cap = args
+    with pytest.raises(ValueError) as built:
+        if family == "powerset":
+            build_powerset_lattice(n, cap)
+        else:
+            build_projective_lattice(n, q, cap)
+    with pytest.raises(type(built.value), match=f"^{re.escape(str(built.value))}$"):
+        family_window(family, n, q, window, cap)
+
+
+@pytest.mark.parametrize("family, q", [("powerset", None), ("projective", 2)])
+@pytest.mark.parametrize("window", [(2, 1), (0, 4), (-1, 1)])
+def test_family_window_rejects_a_window_outside_the_heights(family, q, window):
+    with pytest.raises(ValueError, match=r"^need 0 <= m <= M <= n$"):
+        family_window(family, 3, q, window)
 
 
 # --- named lattices ------------------------------------------------------------------

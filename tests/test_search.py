@@ -13,6 +13,7 @@ from lattice_sb import (
     build_named_lattice,
     build_powerset_lattice,
     build_projective_lattice,
+    family_window,
     greedy_code,
     gv_lower_for_lattice,
     gv_lower_values,
@@ -127,7 +128,8 @@ def relabelled_pow7():
 # root; their family-free rebuilds keep the full search's counts, except 2^[7]
 # at d = 3, whose greedy start holds the Hamming code and meets the packing
 # cap 128 / 8 = 16.  Its relabelled copy starts lower and stops in the search
-# at the first branch that reaches 16.
+# at the first branch that reaches 16.  A family window searches the family
+# lattice's graph in the same order, so it keeps the family's counts.
 @pytest.mark.parametrize(
     "run, best_size, nodes",
     [
@@ -142,15 +144,46 @@ def relabelled_pow7():
         (run_search(sub43, 4, (2, 2)), 10, 0),
         (run_search(pow8, 4), 16, 0),
         (run_search(pow7, 3), 16, 0),
+        (run_search(lambda: family_window("projective", 5, 2, (1, 2), 400), 2, (1, 2)), 155, 186),
+        (run_search(lambda: family_window("projective", 4, 3, (1, 2), 400), 2, (1, 2)), 130, 170),
+        (run_search(lambda: family_window("projective", 4, 3, (2, 2), 400), 4, (2, 2)), 10, 0),
+        (run_search(lambda: family_window("powerset", 8, None, None, 400), 4), 16, 0),
+        (run_search(lambda: family_window("powerset", 7, None), 3), 16, 0),
     ],
     ids=["sub52-d2-w12", "sub43-d2-w12", "sub43-d4-w22", "pow8-d4", "pow7-d3", "json-pow7-d3",
          "family-sub52-d2-w12", "family-sub43-d2-w12", "family-sub43-d4-w22",
-         "family-pow8-d4", "family-pow7-d3"],
+         "family-pow8-d4", "family-pow7-d3",
+         "window-sub52-d2-w12", "window-sub43-d2-w12", "window-sub43-d4-w22",
+         "window-pow8-d4", "window-pow7-d3"],
 )
 def test_max_code_pinned_node_counts(run, best_size, nodes):
     res = run()
     assert res.proven_optimal
     assert (res.best_size, res.nodes) == (best_size, nodes)
+
+
+WINDOW_FAMILIES = ([("powerset", n, None) for n in range(6)] + [("projective", n, 2) for n in range(5)]
+                   + [("projective", 3, 3)])
+
+
+@pytest.mark.parametrize("family, n, q", WINDOW_FAMILIES,
+                         ids=[f"{f[:3]}{n}{q or ''}" for f, n, q in WINDOW_FAMILIES])
+def test_max_code_on_family_window_matches_built_lattice(family, n, q):
+    # the same graph in the same vertex order, so the same search, node for
+    # node; local id i of the window is lattice id ids[i]
+    lat = build_powerset_lattice(n) if family == "powerset" else build_projective_lattice(n, q)
+    windows = [None] + list(itertools.combinations_with_replacement(range(n + 1), 2))
+    for window in windows:
+        win = family_window(family, n, q, window)
+        ids = window_ids(lat, window)
+        for d in range(1, n + 2):
+            want = max_code(SearchProblem(lat, d, window, budget_nodes=20_000))
+            got = max_code(SearchProblem(win, d, window, budget_nodes=20_000))
+            assert got._replace(members=tuple(ids[i] for i in got.members)) == want, (d, window)
+            for seed in (None, 3):
+                greedy = greedy_code(win, d, seed, window)
+                assert [ids[i] for i in greedy.sorted_members()] == \
+                    greedy_code(lat, d, seed, window).sorted_members()
 
 
 def networkx_clique_number(lat, d, window):
