@@ -15,7 +15,7 @@ import math
 from typing import NamedTuple
 
 from . import fq
-from .counting import FAMILIES, binomial, gaussian, whitney_closed_form
+from .counting import binomial, check_family, gaussian, whitney_closed_form
 from .lattice import Lattice, check_window, window_ids
 
 
@@ -29,13 +29,6 @@ def puncture_budget(d: int, distributive: bool) -> int:
     if d < 1:
         raise ValueError("minimum distance must be >= 1")
     return d - 1 if distributive else (d - 1) // 2
-
-
-def _check_family(family: str, q: int | None):
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family: {family!r}")
-    if family == "projective" and q is None:
-        raise ValueError("projective family needs q")
 
 
 def _budget(d: int, distributive: bool, height: int, window: tuple[int, int] | None = None):
@@ -74,7 +67,7 @@ def lsb(family: str, n: int, d: int, q: int | None = None, window: tuple[int, in
     n <= 1 is a chain, hence distributive, so it takes the power-set budget,
     as lsb_for_lattice gives it on the built lattice.
     """
-    _check_family(family, q)
+    check_family(family, q)
     if n < 0:
         raise ValueError("n must be >= 0")
     a, lo, hi = _budget(d, family == "powerset" or n <= 1, n, window)
@@ -129,11 +122,6 @@ def kks_bound(n: int, l: int, d: int, q: int) -> int:
     return lsb_windowed("projective", n, d, l, l, q)
 
 
-def projective_singleton(n: int, d: int, q: int) -> int:
-    """Sum of Gaussian binomials of the (n-alpha)-dim projective space."""
-    return lsb("projective", n, d, q)
-
-
 def anticode_bound(family: str, n: int, d: int, q: int | None = None,
                    window: tuple[int, int] | None = None) -> int | None:
     """The clique-coclique bound floor(|V| / |I|), or None where it is not known to hold.
@@ -161,7 +149,7 @@ def anticode_bound(family: str, n: int, d: int, q: int | None = None,
     On a level, t <= 0 or 2k - t >= n makes the whole level an anticode, and
     the bound is 1.  Raises ValueError unless d >= 1 and 0 <= m <= M <= n.
     """
-    _check_family(family, q)
+    check_family(family, q)
     if n < 0:
         raise ValueError("n must be >= 0")
     if d < 1:
@@ -260,7 +248,7 @@ def family_gv_values(family: str, n: int, d_values, q: int | None = None,
     (fq.family_size), which leaves a bound table's GV cells above the cap
     blank; the closed form itself needs no cap.
     """
-    _check_family(family, q)
+    check_family(family, q)
     _check_distances(d_values)
     if family == "powerset" and window is None:
         return [-(-(2**n) // sum(binomial(n, i) for i in range(min(d - 1, n) + 1))) for d in d_values]

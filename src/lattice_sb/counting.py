@@ -1,14 +1,11 @@
 """Exact counting: binomials, Gaussian binomials, Whitney numbers.
 
 Everything returns exact Python ints; any log2 rendering happens at output
-time only.  Two independent Gaussian-binomial algorithms are kept on purpose
-as permanent mutual oracles: `gaussian` (product formula with exact stepwise
-division) and `gaussian_pascal` (q-Pascal recurrence).
+time only.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 from .lattice import Lattice
@@ -47,17 +44,6 @@ def gaussian(n: int, k: int, q: int) -> int:
     return r
 
 
-@lru_cache(maxsize=None)
-def gaussian_pascal(n: int, k: int, q: int) -> int:
-    """Same count via the q-Pascal recurrence; independent cross-check route."""
-    _check_nq(n, q)
-    if k < 0 or k > n:
-        return 0
-    if k == 0 or k == n:
-        return 1
-    return gaussian_pascal(n - 1, k - 1, q) + q**k * gaussian_pascal(n - 1, k, q)
-
-
 def whitney(lat: Lattice) -> list[int]:
     """Element counts per height level of a built lattice."""
     counts = [0] * (lat.total_height() + 1)
@@ -66,12 +52,14 @@ def whitney(lat: Lattice) -> list[int]:
     return counts
 
 
+def check_family(family: str, q: int | None):
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family: {family!r}")
+    if family == "projective" and q is None:
+        raise ValueError("projective family needs q")
+
+
 def whitney_closed_form(family: str, n: int, k: int, q: int | None = None) -> int:
     """Height-k count for the power-set / projective family lattices."""
-    if family == "powerset":
-        return binomial(n, k)
-    if family == "projective":
-        if q is None:
-            raise ValueError("projective family needs q")
-        return gaussian(n, k, q)
-    raise ValueError(f"unknown family: {family!r}")
+    check_family(family, q)
+    return binomial(n, k) if family == "powerset" else gaussian(n, k, q)

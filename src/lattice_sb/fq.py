@@ -8,9 +8,7 @@ lattices (M3, N5, L1, L2).
 
 The projective lattice takes its order from vector masks: vector x of F_q^n
 is bit sum(x_i * q^i), a subspace is the mask of its vectors, and A <= B is
-a subset test on the masks.  The elimination routines (reduce_vector,
-subspace_leq, subspace_sum, subspace_intersect) decide the same relations
-by linear algebra and serve as the reference for that order.
+a subset test on the masks.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .counting import gaussian
+from .counting import check_family, gaussian
 from .lattice import (
     CapExceeded,
     Lattice,
@@ -107,63 +105,6 @@ def rref(rows: Iterable[Sequence[int]], ambient: int, q: int) -> Subspace:
     return Subspace(q, ambient, tuple(tuple(r) for r in out))
 
 
-def zero_subspace(ambient: int, q: int) -> Subspace:
-    return rref([], ambient, q)
-
-
-def full_space(ambient: int, q: int) -> Subspace:
-    eye = [[1 if j == i else 0 for j in range(ambient)] for i in range(ambient)]
-    return rref(eye, ambient, q)
-
-
-def reduce_vector(sub: Subspace, vec: Sequence[int]) -> tuple[int, ...]:
-    """Residue of vec after elimination against the subspace basis."""
-    v = [int(x) % sub.q for x in vec]
-    if len(v) != sub.ambient:
-        raise ValueError("vector length mismatch")
-    for row in sub.rows:
-        piv = next(i for i, x in enumerate(row) if x)
-        if v[piv]:
-            f = v[piv]
-            v = [(a - f * b) % sub.q for a, b in zip(v, row)]
-    return tuple(v)
-
-
-def contains_vector(sub: Subspace, vec: Sequence[int]) -> bool:
-    return not any(reduce_vector(sub, vec))
-
-
-def subspace_leq(a: Subspace, b: Subspace) -> bool:
-    """A is a subspace of B."""
-    _check_same_space(a, b)
-    return all(contains_vector(b, row) for row in a.rows)
-
-
-def _check_same_space(a: Subspace, b: Subspace):
-    if a.q != b.q or a.ambient != b.ambient:
-        raise ValueError("subspaces live in different ambient spaces")
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    _check_same_space(a, b)
-    return rref(list(a.rows) + list(b.rows), a.ambient, a.q)
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Zassenhaus: reduce [[x|x] for x in A] + [[y|0] for y in B]; rows with a
-    zero left block carry a basis of the intersection in the right block."""
-    _check_same_space(a, b)
-    n, q = a.ambient, a.q
-    big = [list(r) + list(r) for r in a.rows] + [list(r) + [0] * n for r in b.rows]
-    red = _rref_raw(big, 2 * n, q)
-    inter = [r[n:] for r in red if not any(r[:n])]
-    return rref(inter, n, q)
-
-
-def rank(rows: Iterable[Sequence[int]], ambient: int, q: int) -> int:
-    return rref(rows, ambient, q).dim
-
-
 def enumerate_grassmannian(n: int, k: int, q: int) -> Iterator[Subspace]:
     """All k-dim subspaces of F_q^n, one canonical RREF matrix each.
 
@@ -236,6 +177,7 @@ def family_size(family: str, n: int, q: int | None, max_elements: int | None = N
     it raise CapExceeded (or ValueError on bad input) at the same inputs.
     Power-set n above 20 is over every cap, whatever max_elements says.
     """
+    check_family(family, q)
     if family == "powerset":
         if not 0 <= n <= 20:
             error = ValueError if n < 0 else CapExceeded
@@ -339,11 +281,13 @@ class FamilyWindow:
     of common vectors: the subspace distance.  On 2^[n] it is the Hamming
     distance, the popcount of a ^ b.  The search, greedy packing and
     make_scheme read only names, heights, height, total_height, distance,
-    distances, family and len, which a Lattice offers too.
+    distances, family and len, which a Lattice offers too.  `window` is the
+    (m, M) it holds, and window_ids refuses any other.
     """
 
-    def __init__(self, family: tuple, names, heights, masks, meet_height):
+    def __init__(self, family: tuple, window: tuple[int, int], names, heights, masks, meet_height):
         self.family = family  # (family, n, q), as a family builder records it
+        self.window = window
         self.names = tuple(names)
         self.heights = tuple(heights)
         self._masks = tuple(masks)
@@ -378,8 +322,9 @@ def family_window(family: str, n: int, q: int | None, window: tuple[int, int] | 
 
     Raises as the family's builder would (fq.family_size, which counts the
     whole lattice against the cap), then ValueError for a window outside the
-    heights 0..n, with the text of the search's own window check.  Search it
-    with the window it was made for: it holds no other element.
+    heights 0..n, with the text of the search's own window check.  None
+    means (0, n).  A search, a greedy packing or window_ids with another
+    window raises ValueError: the object holds no other element.
     """
     family_size(family, n, q, max_elements)
     check_window(window, n)
@@ -388,11 +333,11 @@ def family_window(family: str, n: int, q: int | None, window: tuple[int, int] | 
         masks = [s for s in range(1 << n) if lo <= s.bit_count() <= hi]
         names = [_subset_name(s) for s in masks]
         heights = [s.bit_count() for s in masks]
-        return FamilyWindow(("powerset", n, None), names, heights, masks, None)
+        return FamilyWindow(("powerset", n, None), (lo, hi), names, heights, masks, None)
     subs = [s for k in range(hi + 1) for s in enumerate_grassmannian(n, k, q)]
     masks = _vector_masks(subs)  # it needs every dimension up to hi
     keep = [i for i, s in enumerate(subs) if s.dim >= lo]
-    return FamilyWindow(("projective", n, q), [subspace_name(subs[i]) for i in keep],
+    return FamilyWindow(("projective", n, q), (lo, hi), [subspace_name(subs[i]) for i in keep],
                         [subs[i].dim for i in keep], [masks[i] for i in keep],
                         {q**k: k for k in range(n + 1)})
 

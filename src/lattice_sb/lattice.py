@@ -162,29 +162,6 @@ class Lattice:
     def elements_at_height(self, k: int) -> list[int]:
         return [x for x in range(len(self.names)) if self.heights[x] == k]
 
-    # --- valuations -------------------------------------------------------
-
-    def _check_valuation_len(self, v: Sequence[int]):
-        if len(v) != len(self.names):
-            raise ValueError("valuation must assign a value to every element")
-
-    def is_valuation(self, v: Sequence[int]) -> bool:
-        """True iff v(x v y) + v(x ^ y) == v(x) + v(y) for every pair."""
-        self._check_valuation_len(v)
-        n = len(self.names)
-        return all(v[self.join(a, b)] + v[self.meet(a, b)] == v[a] + v[b]
-                   for a in range(n) for b in range(a, n))
-
-    def is_isotone(self, v: Sequence[int]) -> bool:
-        """Monotone along the order; checking covers suffices by transitivity."""
-        self._check_valuation_len(v)
-        return all(v[lo] <= v[hi] for lo, hi in self.covers)
-
-    def is_positive_isotone(self, v: Sequence[int]) -> bool:
-        """Strictly increasing along the strict order (strict on every cover)."""
-        self._check_valuation_len(v)
-        return all(v[lo] < v[hi] for lo, hi in self.covers)
-
     # --- structure predicates --------------------------------------------
     # Each is one pass over the covers, over pairs of covers of a common
     # element, or over the join-irreducibles, through the height function
@@ -466,14 +443,16 @@ def window_ids(lat: Lattice, window: tuple[int, int] | None) -> list[int]:
     """Ids of the elements with height in [lo, hi], or all ids for no window.
 
     Every height 0..total_height() is taken, so the list is never empty.
+    lat may be an fq.FamilyWindow, which holds the elements of one window.
 
     Raises:
-        ValueError: the window is not within heights 0..total_height().
+        ValueError: the window is not within heights 0..total_height(), or
+            lat is a family window made for another window.
     """
     check_window(window, lat.total_height())
-    if window is None:
-        return list(range(len(lat)))
-    lo, hi = window
+    lo, hi = window or (0, lat.total_height())
+    if getattr(lat, "window", (lo, hi)) != (lo, hi):
+        raise ValueError(f"family window holds heights {lat.window}, not {(lo, hi)}")
     return [x for x in range(len(lat)) if lo <= lat.heights[x] <= hi]
 
 

@@ -202,7 +202,9 @@ def parse_scheme_text(text: str, max_elements: int | None = None) -> Scheme:
     rows like "101/011"; power-set files are bare binary strings, one subset
     per line (the support of a binary codeword), with n the length of the
     first.  A first line that is neither is rejected before any lattice is
-    built.  Members are read by parse_element, as --w is.
+    built.  Members are read by parse_element, as --w is.  Two lines that
+    name one element (two bases of one subspace, or one word twice) are
+    rejected: a code with a repeated word has distance 0.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -220,7 +222,13 @@ def parse_scheme_text(text: str, max_elements: int | None = None) -> Scheme:
     else:
         members = lines
         lat = build_powerset_lattice(len(lines[0]), max_elements)
-    return make_scheme(lat, {parse_element(ln, lat) for ln in members})
+    seen: dict[int, str] = {}
+    for ln in members:
+        x = parse_element(ln, lat)
+        if x in seen:
+            raise LatticeError(f"scheme lists one element twice: {seen[x]!r} and {ln!r}")
+        seen[x] = ln
+    return make_scheme(lat, seen)
 
 
 def _family(lat: Lattice) -> tuple[str, int, int | None]:

@@ -28,7 +28,8 @@ The search reads its lattice only through heights, total_height, distance,
 distances, family and len, and asks is_modular() only where family is None.
 fq.FamilyWindow offers the same for a window of 2^[n] or Sub(F_q^n), built
 from subset bitmasks or vector masks; the command line searches those
-families on it instead of building the lattice.
+families on it instead of building the lattice.  A family window holds one
+window's elements, so window_ids refuses to search it with another.
 
 The search stops at a cap, an upper bound on the clique size, taken as the
 smaller of two bounds where either holds.  On a lattice made by a family
@@ -38,16 +39,18 @@ acts transitively on 2^[n] and on each of its levels, GL(n, q) on each
 level of Sub(F_q^n)), and on a vertex-transitive graph a clique has at most
 |V| / |I| vertices for any coclique I.  A lattice from JSON, a rebuild or
 a sublattice carries no family: nothing checks its graph for that
-symmetry, so it gets no anticode bound.  The other is the sphere-packing cap.  On a modular lattice the
-height is a valuation, so the height distance is a metric (Birkhoff,
-Lattice Theory, ch. X), and the balls of radius t = floor((d-1)/2) around
-the members of a scheme are pairwise disjoint: a scheme of the window W has
-at most |W| / min_x |B(x, t) & W| members.  _build_graph counts the balls in
-its distance pass.  A family lattice is modular by construction, and any
-other lattice is asked is_modular(): on N5 (d = 3, window (0, 1)) the count
-gives 1, against the optimum 2.  When the starting scheme reaches the cap it
-is proven optimal at the root, with 0 nodes, and a branch whose clique
-reaches it ends the whole search, proven.
+symmetry, so it gets no anticode bound.
+
+The other is the sphere-packing cap.  On a modular lattice the height is a
+valuation, so the height distance is a metric (Birkhoff, Lattice Theory,
+ch. X), and the balls of radius t = floor((d-1)/2) around the members of a
+scheme are pairwise disjoint: a scheme of the window W has at most
+|W| / min_x |B(x, t) & W| members.  _build_graph counts the balls in its
+distance pass.  A family lattice is modular by construction, and any other
+lattice is asked is_modular(): on N5 (d = 3, window (0, 1)) the count gives
+1, against the optimum 2.  When the starting scheme reaches the cap it is
+proven optimal at the root, with 0 nodes, and a branch whose clique reaches
+it ends the whole search, proven.
 
 Each branch starts from the starting scheme's size and never sees its earlier
 siblings' improvements, and results merge in branch order.  Sharing the

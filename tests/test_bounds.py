@@ -26,7 +26,6 @@ from lattice_sb import (
     lsb_for_lattice,
     lsb_windowed,
     max_code,
-    projective_singleton,
     puncture_budget,
     render_report_csv,
     window_ids,
@@ -234,9 +233,9 @@ def test_kks_bound_is_the_single_height_window():
 
 
 def test_projective_singleton_values():
-    assert projective_singleton(4, 4, 2) == 16
-    assert projective_singleton(3, 3, 2) == 5
-    assert projective_singleton(3, 1, 2) == 16
+    assert lsb("projective", 4, 4, 2) == 16
+    assert lsb("projective", 3, 3, 2) == 5
+    assert lsb("projective", 3, 1, 2) == 16
 
 
 # --- the anticode (clique-coclique) bound --------------------------------------------

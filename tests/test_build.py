@@ -14,13 +14,11 @@ from lattice_sb import (
     build_lattice,
     build_projective_lattice,
     sublattice_closure,
-    subspace_intersect,
-    subspace_leq,
-    subspace_sum,
     subspace_to_text,
 )
 from lattice_sb.fq import subspace_id, subspace_name
 from lattice_sb.lattice import iter_bits
+from oracles import subspace_intersect, subspace_leq, subspace_sum
 from test_classifiers import SUB24, SUB33, lattices
 
 # --- Sub(F_q^n) against elimination -------------------------------------------------

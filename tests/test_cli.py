@@ -31,6 +31,7 @@ from lattice_sb import fq
 from lattice_sb import schemes as sch
 from lattice_sb import search as srch
 from lattice_sb.cli import main
+from oracles import subspace_intersect
 
 
 def run(capsys, *argv):
@@ -609,6 +610,18 @@ def test_scheme_bad_header_is_a_bad_line(capsys, tmp_path, monkeypatch):
     assert err == "error: bad first line 'q=2 n =4' (need a 'q=<q> n=<n>' header or binary digits)\n"
 
 
+@pytest.mark.parametrize("text, first, second", [
+    ("q=2 n=3\n110/011\n101/011\n100\n", "110/011", "101/011"),  # two bases of one plane
+    ("0011\n0101\n0011\n", "0011", "0011"),
+])
+def test_scheme_listing_one_element_twice_is_refused(capsys, tmp_path, text, first, second):
+    # a code with a repeated word has distance 0; the file is not merged
+    path = write_scheme(tmp_path, text)
+    code, out, err = run(capsys, "scheme", "mindist", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: scheme lists one element twice: {first!r} and {second!r}\n"
+
+
 def test_scheme_has_no_as_code_flag(capsys, tmp_path):
     path = write_scheme(tmp_path, "1100\n0011\n")
     with pytest.raises(SystemExit) as exc:
@@ -837,7 +850,7 @@ def test_search_line_packing_of_pg52_builds_no_lattice(capsys, monkeypatch):
     assert (obj["bound"], obj["sandwich"]) == (lsb("projective", 6, 4, 2, (2, 2)), "PASS")
     lines = [fq.subspace_from_text(nm, 6, 2) for nm in obj["scheme"]]
     assert len(set(lines)) == 21 and all(s.dim == 2 for s in lines)
-    assert all(fq.subspace_intersect(a, b).dim == 0 for i, a in enumerate(lines) for b in lines[i + 1:])
+    assert all(subspace_intersect(a, b).dim == 0 for i, a in enumerate(lines) for b in lines[i + 1:])
 
 
 def test_search_json_lattice_takes_the_gv_pass(capsys, monkeypatch, tmp_path):

@@ -11,10 +11,10 @@ from lattice_sb import (
     build_powerset_lattice,
     build_projective_lattice,
     gaussian,
-    gaussian_pascal,
     whitney,
     whitney_closed_form,
 )
+from oracles import gaussian_pascal
 
 
 # --- binomial ---------------------------------------------------------------------

@@ -18,22 +18,25 @@ from lattice_sb import (
     family_window,
     from_json,
     gaussian,
+    greedy_code,
+    max_code,
     rref,
+    SearchProblem,
     subspace_from_text,
-    subspace_intersect,
-    subspace_leq,
-    subspace_sum,
     subspace_to_text,
     to_json,
     window_ids,
 )
-from lattice_sb.fq import (
+from lattice_sb import fq
+from lattice_sb.fq import is_prime, subspace_id
+from oracles import (
     contains_vector,
     full_space,
-    is_prime,
     rank,
     reduce_vector,
-    subspace_id,
+    subspace_intersect,
+    subspace_leq,
+    subspace_sum,
     zero_subspace,
 )
 
@@ -324,6 +327,32 @@ def test_family_window_raises_as_the_builder(args):
 def test_family_window_rejects_a_window_outside_the_heights(family, q, window):
     with pytest.raises(ValueError, match=r"^need 0 <= m <= M <= n$"):
         family_window(family, 3, q, window)
+
+
+@pytest.mark.parametrize("family, q", [("powerset", None), ("projective", 2)])
+@pytest.mark.parametrize("made, asked", [((2, 2), (1, 3)), ((2, 2), None), ((1, 3), (2, 2)), (None, (1, 3))])
+def test_family_window_refuses_another_window(family, q, made, asked):
+    # the window holds only the elements it was made for, so searching it
+    # with another window would prove a wrong optimum
+    win = family_window(family, 3, q, made)
+    assert win.window == (made or (0, 3))
+    for call in (lambda: window_ids(win, asked), lambda: max_code(SearchProblem(win, 2, asked)),
+                 lambda: greedy_code(win, 2, window=asked)):
+        with pytest.raises(ValueError, match=r"^family window holds heights"):
+            call()
+
+
+@pytest.mark.parametrize("made, asked", [(None, (0, 3)), ((0, 3), None)])
+def test_family_window_reads_none_as_the_whole_window(made, asked):
+    assert window_ids(family_window("projective", 3, 2, made), asked) == list(range(16))
+
+
+@pytest.mark.parametrize("family", ["bogus", "powerst", "Projective"])
+def test_unknown_family_is_refused(family):
+    with pytest.raises(ValueError, match=f"^unknown family: {family!r}$"):
+        fq.family_size(family, 3, 2)
+    with pytest.raises(ValueError, match=f"^unknown family: {family!r}$"):
+        family_window(family, 3, 2)
 
 
 # --- named lattices ------------------------------------------------------------------
