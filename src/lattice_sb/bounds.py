@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from . import fq
 from .counting import binomial, check_family, gaussian, whitney_closed_form
-from .lattice import Lattice, check_window, window_ids
+from .lattice import HeightExceeded, Lattice, check_window, window_ids
 
 
 def puncture_budget(d: int, distributive: bool) -> int:
@@ -42,12 +42,13 @@ def _budget(d: int, distributive: bool, height: int, window: tuple[int, int] | N
     Clipping at 0 gives a window with M < alpha the bound 1, its exact
     optimum: on a modular lattice two members of height <= M lie at
     distance <= 2M < d.
-    Raises ValueError unless 0 <= m <= M <= height and alpha <= height.
+    Raises ValueError unless d >= 1 and 0 <= m <= M, checked in that order,
+    then HeightExceeded unless M <= height and alpha <= height.
     """
-    check_window(window, height)
     a = puncture_budget(d, distributive and window is None)
+    check_window(window, height)
     if a > height:
-        raise ValueError(f"puncture budget {a} exceeds lattice height {height}")
+        raise HeightExceeded(f"puncture budget {a} exceeds lattice height {height}")
     if window is None:
         return a, 0, height - a
     return a, max(0, window[0] - a), max(0, window[1] - a)
@@ -67,9 +68,7 @@ def lsb(family: str, n: int, d: int, q: int | None = None, window: tuple[int, in
     n <= 1 is a chain, hence distributive, so it takes the power-set budget,
     as lsb_for_lattice gives it on the built lattice.
     """
-    check_family(family, q)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_family(family, n, q)
     a, lo, hi = _budget(d, family == "powerset" or n <= 1, n, window)
     return sum(whitney_closed_form(family, n - a, k, q) for k in range(lo, hi + 1))
 
@@ -149,11 +148,8 @@ def anticode_bound(family: str, n: int, d: int, q: int | None = None,
     On a level, t <= 0 or 2k - t >= n makes the whole level an anticode, and
     the bound is 1.  Raises ValueError unless d >= 1 and 0 <= m <= M <= n.
     """
-    check_family(family, q)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if d < 1:
-        raise ValueError("minimum distance must be >= 1")
+    check_family(family, n, q)
+    _check_distances([d])
     check_window(window, n)
     D = d - 1
     if family == "powerset" and window in (None, (0, n)):
@@ -248,7 +244,7 @@ def family_gv_values(family: str, n: int, d_values, q: int | None = None,
     (fq.family_size), which leaves a bound table's GV cells above the cap
     blank; the closed form itself needs no cap.
     """
-    check_family(family, q)
+    check_family(family, n, q)
     _check_distances(d_values)
     if family == "powerset" and window is None:
         return [-(-(2**n) // sum(binomial(n, i) for i in range(min(d - 1, n) + 1))) for d in d_values]
@@ -258,8 +254,8 @@ def family_gv_values(family: str, n: int, d_values, q: int | None = None,
     levels = range(lo, hi + 1)
     base = q if family == "projective" else 1
 
-    def count(a: int, b: int) -> int:  # [a,b]_q or C(a,b)
-        return whitney_closed_form(family, a, b, q)
+    def count(a: int, b: int) -> int:  # [a,b]_q or C(a,b); the family is checked above
+        return binomial(a, b) if family == "powerset" else gaussian(a, b, q)
 
     hists = []
     for k in levels:
@@ -301,7 +297,16 @@ def log2_string(v: int | None) -> str:
 
 
 def _cell(v) -> str:
-    return "" if v is None else str(v)
+    """The exact decimal digits of v, '' for None.  str() refuses an int over
+    sys.get_int_max_str_digits() digits; Decimal converts it without that limit."""
+    if v is None:
+        return ""
+    try:
+        return str(v)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(v))
 
 
 def report_row(r: BoundReport) -> str:

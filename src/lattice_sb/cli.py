@@ -121,27 +121,17 @@ def _range_values(single: int | None, lo: int | None, hi: int | None, flag: str)
     return list(range(lo, hi + 1))
 
 
-def _check_table(d_values, window, n_values=(), q: int | None = None):
-    """The input errors of a bound table, raised before any row is computed."""
-    if min(d_values) < 1:
-        raise ValueError("minimum distance must be >= 1")
-    if window and not 0 <= window[0] <= window[1]:
-        raise ValueError(f"invalid height window {window[0]} {window[1]}: need 0 <= m <= M")
-    if n_values and n_values[0] < 0:
-        raise ValueError(f"n must be >= 0, got {n_values[0]}")
-    if q is not None:
-        fq.check_field(q)
-
-
 def _family_reports(family: str, q: int | None, n_values, d_values, window=None,
                     max_elements: int | None = None) -> list[bnd.BoundReport]:
     """The rows of a family bound table, one per (n, d) that fits n.
 
-    Input errors raise before any row.  A row that does not fit its n (alpha
-    or the window's top above n) is skipped with a warning on stderr, and the
-    GV cells of an n whose lattice is over the element cap are left blank.
+    A row that does not fit its n (lsb raises HeightExceeded: alpha or the
+    window's top above n) is skipped with a warning on stderr, and the GV
+    cells of an n whose lattice is over the element cap are left blank.  Every
+    other error of lsb is an input error and stops the table.  Both axes
+    ascend and lsb checks the family, d and the window's order before the
+    heights, so an input error is raised by the first row, before any warning.
     """
-    _check_table(d_values, window, n_values, q)
     m, M = window or (None, None)
     reports = []
     for n in n_values:
@@ -149,7 +139,7 @@ def _family_reports(family: str, q: int | None, n_values, d_values, window=None,
         for d in d_values:
             try:
                 rows.append((d, bnd.lsb(family, n, d, q, window)))
-            except ValueError as e:  # the inputs are valid, so the row does not fit n
+            except lt.HeightExceeded as e:
                 print(f"warning: skipping n={n} d={d} ({e})", file=sys.stderr)
         if not rows:
             continue
@@ -169,7 +159,6 @@ def cmd_bounds(args) -> int:
     if source == "lattice":
         if (args.n, args.n_min, args.n_max) != (None, None, None):
             raise lt.LatticeError("--lattice takes no -n, --n-min or --n-max (n is its height)")
-        _check_table(d_values, window)
         lat = _resolve_source(args)
         m, M = window or (None, None)
         gvs = bnd.gv_lower_values(lat, d_values, window)

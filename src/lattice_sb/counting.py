@@ -52,14 +52,36 @@ def whitney(lat: Lattice) -> list[int]:
     return counts
 
 
-def check_family(family: str, q: int | None):
+def is_prime(q: int) -> bool:
+    if q < 2:
+        return False
+    f = 2
+    while f * f <= q:
+        if q % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def check_field(q: int):
+    if not is_prime(q):
+        raise ValueError(f"q must be a prime, got {q}")
+
+
+def check_family(family: str, n: int, q: int | None):
+    """The one check of a family's parameters: a known family, n >= 0 and,
+    for Sub(F_q^n), a q that is given and prime."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family: {family!r}")
-    if family == "projective" and q is None:
-        raise ValueError("projective family needs q")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if family == "projective":
+        if q is None:
+            raise ValueError("projective family needs q")
+        check_field(q)
 
 
 def whitney_closed_form(family: str, n: int, k: int, q: int | None = None) -> int:
     """Height-k count for the power-set / projective family lattices."""
-    check_family(family, q)
+    check_family(family, n, q)
     return binomial(n, k) if family == "powerset" else gaussian(n, k, q)

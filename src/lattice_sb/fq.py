@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .counting import check_family, gaussian
+from .counting import check_family, check_field, gaussian, is_prime  # noqa: F401  (fq.is_prime stays)
 from .lattice import (
     CapExceeded,
     Lattice,
@@ -25,28 +25,13 @@ from .lattice import (
     build_lattice,
     check_cap,
     check_window,
+    element_cap,
     iter_bits,
     sublattice_closure,
     with_names,
 )
 
 NAMED_LATTICES = ("M3", "N5", "L1", "L2")
-
-
-def is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    f = 2
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 1
-    return True
-
-
-def check_field(q: int):
-    if not is_prime(q):
-        raise ValueError(f"q must be a prime, got {q}")
 
 
 class Subspace(NamedTuple):
@@ -111,9 +96,7 @@ def enumerate_grassmannian(n: int, k: int, q: int) -> Iterator[Subspace]:
     Deterministic order: pivot column sets ascending lexicographically, free
     entries counting up in base q.
     """
-    check_field(q)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_family("projective", n, q)
     if k < 0 or k > n:
         return
     for pivots in combinations(range(n), k):
@@ -176,21 +159,25 @@ def family_size(family: str, n: int, q: int | None, max_elements: int | None = N
     makes before building: the builder and the closed forms that stand in for
     it raise CapExceeded (or ValueError on bad input) at the same inputs.
     Power-set n above 20 is over every cap, whatever max_elements says.
+
+    Sub(F_q^n) is counted one level at a time, the top (one element) last,
+    and the count stops once it passes the cap, so a refusal takes bounded
+    time and names the exact count only where the count finished.  It has at
+    least 2^n elements, so an n above the cap's bit length is over the cap
+    before any level is counted.
     """
-    check_family(family, q)
+    check_family(family, n, q)
     if family == "powerset":
-        if not 0 <= n <= 20:
-            error = ValueError if n < 0 else CapExceeded
-            raise error("power-set lattice supported for 0 <= n <= 20")
-        size = 1 << n
-        check_cap(size, f"power-set lattice on {n} points", max_elements)
-        return size
-    check_field(q)
-    if n < 0:
-        raise ValueError("ambient dimension must be >= 0")
-    size = sum(gaussian(n, k, q) for k in range(n + 1))
-    check_cap(size, f"Sub(F_{q}^{n})", max_elements)
-    return size
+        if n > 20:
+            raise CapExceeded("power-set lattice supported for 0 <= n <= 20")
+        return check_cap(1 << n, f"power-set lattice on {n} points", max_elements)
+    what, cap = f"Sub(F_{q}^{n})", element_cap(max_elements)
+    size = cap + 1 if n > cap.bit_length() else 0
+    for k in range(n + 1):
+        if size > cap:
+            raise CapExceeded(f"{what} has more than {cap} elements; cap is {cap} (raise via max_elements)")
+        size += gaussian(n, k, q)
+    return check_cap(size, what, max_elements)
 
 
 def build_powerset_lattice(n: int, max_elements: int | None = None) -> Lattice:

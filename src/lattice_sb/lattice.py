@@ -8,8 +8,9 @@ bounds in that order, the meet the last of their common lower bounds.  No
 n x n table is stored.  build_lattice checks that every two upper covers of
 a common element have a join, which with a bottom and a top makes the poset
 a lattice, so a Lattice is only ever returned for inputs that really are
-lattices.  Instances are immutable after construction (the modularity
-verdict is decided once and kept) and safe to share between threads.
+lattices.  Instances are immutable after construction (the modularity and
+upper semimodularity verdicts are decided once and kept) and safe to share
+between threads.
 
 A lattice made by a family builder of the fq module records that family in
 `family`, as ("powerset", n, None) or ("projective", n, q); every other
@@ -44,6 +45,11 @@ class CapExceeded(LatticeError):
     """A lattice materialization would exceed the element cap."""
 
 
+class HeightExceeded(ValueError):
+    """A puncture budget or a window top lies above the lattice height: valid
+    input that does not fit this lattice, such as one row of a bound table."""
+
+
 def element_cap(max_elements: int | None = None) -> int:
     """Effective materialization cap: max_elements, else DEFAULT_MAX_ELEMENTS.
 
@@ -57,12 +63,13 @@ def element_cap(max_elements: int | None = None) -> int:
     return max_elements
 
 
-def check_cap(size: int, what: str, max_elements: int | None):
+def check_cap(size: int, what: str, max_elements: int | None) -> int:
     """Raise CapExceeded when `what`, a lattice of `size` elements, is over
-    element_cap(max_elements)."""
+    element_cap(max_elements); return size otherwise."""
     cap = element_cap(max_elements)
     if size > cap:
         raise CapExceeded(f"{what} has {size} elements; cap is {cap} (raise via max_elements)")
+    return size
 
 
 def iter_bits(mask: int):
@@ -199,9 +206,14 @@ class Lattice:
         return True
 
     @cached_property
+    def _upper_semimodular(self) -> bool:
+        """Graded, and any two upper covers of an element have their join two
+        levels up; decided once for is_modular and is_geometric."""
+        return self.has_jordan_dedekind() and self._covering_condition(True)
+
+    @cached_property
     def _modular(self) -> bool:
-        return (self.has_jordan_dedekind() and self._covering_condition(True)
-                and self._covering_condition(False))
+        return self._upper_semimodular and self._covering_condition(False)
 
     def is_modular(self) -> bool:
         """a <= c implies a v (b ^ c) == (a v b) ^ c.
@@ -246,7 +258,7 @@ class Lattice:
         bottom = (self.bottom,)
         if any(len(lower) == 1 and lower != bottom for lower in self._lower_covers):
             return False
-        return self.has_jordan_dedekind() and self._covering_condition(True)
+        return self._upper_semimodular
 
 
 def _not_a_lattice(names, order, pup, pdown) -> NotALatticeError:
@@ -434,9 +446,11 @@ def _restrict(lat: Lattice, ids: list[int]) -> Lattice:
 
 
 def check_window(window: tuple[int, int] | None, height: int):
-    """Raise ValueError unless the window [m, M] lies within heights 0..height."""
+    """Raise ValueError unless the window [m, M] has 0 <= m <= M, and
+    HeightExceeded if it has, but M lies above height."""
     if window is not None and not 0 <= window[0] <= window[1] <= height:
-        raise ValueError("need 0 <= m <= M <= n")
+        error = HeightExceeded if 0 <= window[0] <= window[1] else ValueError
+        raise error("need 0 <= m <= M <= n")
 
 
 def window_ids(lat: Lattice, window: tuple[int, int] | None) -> list[int]:

@@ -30,7 +30,10 @@ from lattice_sb import (
     render_report_csv,
     window_ids,
 )
+from lattice_sb import fq
 from lattice_sb.bounds import _budget
+from lattice_sb.counting import whitney_closed_form
+from lattice_sb.lattice import HeightExceeded
 from lattice_sb.search import _BranchSearch
 
 
@@ -133,10 +136,50 @@ def test_budget_shape():
     assert _budget(4, False, 5) == (1, 0, 4)
     assert _budget(4, True, 5, (2, 4)) == (1, 1, 3)
     assert _budget(5, False, 5, (0, 1)) == (2, 0, 0)
-    with pytest.raises(ValueError, match="exceeds lattice height"):
+    # alpha or the window's top above the height is HeightExceeded, the one
+    # error a bound table skips a row for
+    with pytest.raises(HeightExceeded, match=r"^puncture budget 3 exceeds lattice height 2$"):
         _budget(4, True, 2)
-    with pytest.raises(ValueError, match=r"need 0 <= m <= M <= n"):
+    with pytest.raises(HeightExceeded, match=r"^need 0 <= m <= M <= n$"):
         _budget(2, False, 3, (1, 4))
+
+
+def test_budget_checks_input_before_height():
+    # d < 1 and a window that is not 0 <= m <= M are plain input errors,
+    # found before any height is compared
+    for args, text in [((0, True, 0), "minimum distance must be >= 1"),
+                       ((0, False, 2, (1, 3)), "minimum distance must be >= 1"),
+                       ((9, False, 1, (3, 2)), "need 0 <= m <= M <= n"),
+                       ((2, False, 5, (-1, 1)), "need 0 <= m <= M <= n")]:
+        with pytest.raises(ValueError, match=f"^{text}$") as e:
+            _budget(*args)
+        assert type(e.value) is ValueError, args
+
+
+def family_calls(family, n, q):
+    """Every closed form over a family, and its builders, at (n, q)."""
+    return [lambda: lsb(family, n, 2, q), lambda: anticode_bound(family, n, 3, q, (2, 2)),
+            lambda: family_gv_values(family, n, [2], q), lambda: gv_lower(family, n, 2, q),
+            lambda: whitney_closed_form(family, n, 1, q), lambda: fq.family_size(family, n, q),
+            lambda: fq.family_window(family, n, q)]
+
+
+@pytest.mark.parametrize("q", [4, 1, 9])
+def test_non_prime_q_is_refused_with_one_text(q):
+    # no bound for a Sub(F_q^n) that the builder refuses
+    for call in family_calls("projective", 3, q) + [lambda: kks_bound(4, 2, 3, q),
+                                                   lambda: build_projective_lattice(3, q),
+                                                   lambda: list(fq.enumerate_grassmannian(3, 1, q))]:
+        with pytest.raises(ValueError, match=f"^q must be a prime, got {q}$"):
+            call()
+
+
+@pytest.mark.parametrize("family, q", [("powerset", None), ("projective", 2)])
+def test_negative_n_is_refused_with_one_text(family, q):
+    grassmannian = [lambda: list(fq.enumerate_grassmannian(-1, 0, q))] if q else []
+    for call in family_calls(family, -1, q) + grassmannian:
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+            call()
 
 
 def test_lsb_for_lattice_matches_family_formula(pow3, sub3):

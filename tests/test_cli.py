@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -202,7 +203,7 @@ def test_bounds_rejects_inverted_window(capsys, tmp_path):
     path.write_text(to_json(build_powerset_lattice(3)))
     code, _, err = run(capsys, "bounds", "--lattice", str(path), "-d", "2", "--window", "3", "1")
     assert code == 2
-    assert "window" in err
+    assert err == "error: need 0 <= m <= M <= n\n"  # the window check of every source
 
 
 @pytest.mark.parametrize("argv", [("--projective", "-n", "4", "-d", "4", "--window", "2", "1"),
@@ -213,6 +214,20 @@ def test_bounds_family_input_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, "bounds", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("--powerset", "--n-min", "0", "--n-max", "3", "-d", "0", "--window", "2", "2"),
+     "minimum distance must be >= 1"),
+    (("--projective", "--n-min", "0", "--n-max", "3", "--d-min", "0", "--d-max", "5"),
+     "minimum distance must be >= 1"),
+    (("--projective", "--n-min", "0", "--n-max", "3", "-d", "9", "--window", "3", "2"),
+     "need 0 <= m <= M <= n"),
+    (("--projective", "-q", "4", "--n-min", "0", "--n-max", "3", "-d", "9"), "q must be a prime, got 4"),
+])
+def test_bounds_input_error_comes_before_any_warning(capsys, argv, error):
+    # the first row would not fit n, yet the input error stops the table first
+    assert run(capsys, "bounds", *argv) == (2, "", f"error: {error}\n")
 
 
 def test_bounds_skips_rows_that_do_not_fit_n(capsys):
@@ -254,6 +269,51 @@ def test_bounds_powerset_over_20_leaves_gv_blank(capsys):
     code, out, err = run(capsys, "check", "--powerset", "21")
     assert code == 2 and out == ""
     assert err == "error: power-set lattice supported for 0 <= n <= 20\n"
+
+
+def _digits(v: int) -> str:
+    """The decimal digits of v >= 0 without str(), which refuses ints over 4,300 digits."""
+    chunks = []
+    while v:
+        v, r = divmod(v, 10**100)
+        chunks.append(r)
+    return str(chunks.pop()) + "".join(f"{c:0100d}" for c in reversed(chunks))
+
+
+def test_bounds_prints_huge_cells_exactly(capsys):
+    # d = 3 punctures once: the cell is |Sub(F_2^299)|, 6,729 digits
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "bounds", "--projective", "-n", "300", "-d", "3")
+    assert (code, err) == (0, "")
+    galois = [1, 2]  # |Sub(F_2^n)|: G(n+1) = 2 G(n) + (2^n - 1) G(n-1)
+    for n in range(1, 299):
+        galois.append(2 * galois[n] + (2**n - 1) * galois[n - 1])
+    row = out.split("\n")[1].split(",")
+    assert row == ["projective", "2", "300", "3", "", "", _digits(galois[299]), log2_string(galois[299]),
+                   "", "", ""]
+    assert len(row[6]) == 6729
+    assert sys.get_int_max_str_digits() == limit  # the interpreter's limit is left alone
+
+
+def test_fig5_far_above_the_cap_leaves_gv_blank(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fig5", "--n-min", "300", "--n-max", "300")
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert out == f"n,lsb_log2,gv_lower_log2\n300,{log2_string(lsb('projective', 300, 4, 2))},\n"
+
+
+@pytest.mark.parametrize("argv", [("check", "--projective", "-n", "100000", "-q", "2"),
+                                  ("check", "--projective", "-n", "200", "-q", "2"),
+                                  ("export-dot", "--projective", "-n", "10000000000", "-q", "3"),
+                                  ("search", "--projective", "-n", "300", "-d", "3", "--window", "1", "1")])
+def test_projective_cap_refusal_is_bounded(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    n, q = argv[argv.index("-n") + 1], argv[argv.index("-q") + 1] if "-q" in argv else "2"
+    assert (code, out) == (2, "")
+    assert err == f"error: Sub(F_{q}^{n}) has more than 128 elements; cap is 128 (raise via max_elements)\n"
 
 
 @pytest.mark.parametrize("family", ["--powerset", "--projective"])

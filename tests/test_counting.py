@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,8 @@ from lattice_sb import (
     whitney,
     whitney_closed_form,
 )
+from lattice_sb import counting, fq
+from lattice_sb.counting import check_family, is_prime
 from oracles import gaussian_pascal
 
 
@@ -122,3 +125,29 @@ def test_whitney_closed_form_matches_materialized():
 def test_whitney_closed_form_bad_family():
     with pytest.raises(ValueError):
         whitney_closed_form("simplicial", 3, 1)
+
+
+# --- family parameters ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family, n, q, text", [
+    ("bogus", 3, 2, "unknown family: 'bogus'"),
+    ("powerset", -1, None, "n must be >= 0, got -1"),
+    ("projective", -2, 2, "n must be >= 0, got -2"),
+    ("projective", 3, None, "projective family needs q"),
+    ("projective", 3, 4, "q must be a prime, got 4"),
+    ("projective", 0, 1, "q must be a prime, got 1"),
+])
+def test_check_family_refuses(family, n, q, text):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        check_family(family, n, q)
+
+
+def test_check_family_accepts():
+    for family, n, q in (("powerset", 0, None), ("powerset", 5, None), ("projective", 0, 2),
+                         ("projective", 3, 7), ("projective", 10**6, 3)):
+        check_family(family, n, q)
+
+
+def test_fq_keeps_the_field_check():
+    assert (fq.is_prime, fq.check_field) == (is_prime, counting.check_field)

@@ -269,6 +269,35 @@ def test_projective_rejects_nonprime():
         build_projective_lattice(3, 4)
 
 
+def over_cap(n, q, cap):
+    return f"Sub(F_{q}^{n}) has more than {cap} elements; cap is {cap} (raise via max_elements)"
+
+
+def test_projective_cap_count_stops_past_the_cap(monkeypatch):
+    # one level at a time, stopping once the count passes the cap
+    levels = []
+    count = fq.gaussian
+    monkeypatch.setattr(fq, "gaussian", lambda n, k, q: levels.append(k) or count(n, k, q))
+    with pytest.raises(CapExceeded, match=f"^{re.escape(over_cap(5, 2, 128))}$"):
+        build_projective_lattice(5, 2)
+    assert levels == [0, 1, 2]  # 1 + 31 + 155 > 128
+    # Sub(F_q^n) has at least 2^n elements: n above the cap's bit length counts no level
+    levels.clear()
+    for n, q, cap in ((9, 2, 255), (200, 2, None), (100_000, 3, None), (10**50, 2, 10**9)):
+        with pytest.raises(CapExceeded) as e:
+            fq.family_size("projective", n, q, cap)
+        assert str(e.value) == over_cap(n, q, cap or 128) and len(str(e.value)) < 200
+    assert levels == []
+
+
+@pytest.mark.parametrize("n, q, cap, size", [(2, 2, 4, 5), (2, 3, 5, 6), (0, 2, 0, 1), (3, 2, 15, 16)])
+def test_projective_cap_names_a_finished_count(n, q, cap, size):
+    # the top level is one element, so a count that reached it is at most cap + 1
+    with pytest.raises(CapExceeded, match=f"^{re.escape(f'Sub(F_{q}^{n}) has {size} elements; cap is {cap}')}"):
+        fq.family_size("projective", n, q, cap)
+    assert fq.family_size("projective", n, q, size) == size
+
+
 # --- family windows ------------------------------------------------------------------
 
 

@@ -21,7 +21,7 @@ from lattice_sb import (
     to_json,
     with_names,
 )
-from lattice_sb.lattice import check_cap
+from lattice_sb.lattice import HeightExceeded, Lattice, check_cap, check_window
 from oracles import is_isotone, is_positive_isotone, is_valuation
 
 CHAIN3 = (["a", "b", "c"], [(0, 1), (1, 2)])
@@ -185,6 +185,28 @@ def test_classify_truth_table(pow3, m3, n5, l1, l2):
         assert got["modular"] == mod, label
         assert got["distributive"] == dist, label
         assert got["geometric"] == geo, label
+
+
+def test_classify_decides_upper_semimodularity_once(monkeypatch, sub3):
+    # is_modular and is_geometric share one upper covering pass
+    want, calls = classify(sub3), []
+    covering, graded = Lattice._covering_condition, Lattice.has_jordan_dedekind
+    monkeypatch.setattr(Lattice, "_covering_condition", lambda lat, upper: calls.append(upper) or covering(lat, upper))
+    monkeypatch.setattr(Lattice, "has_jordan_dedekind", lambda lat: calls.append("jd") or graded(lat))
+    lat = build_lattice(sub3.names, sub3.covers)  # a fresh copy: nothing decided yet
+    assert classify(lat) == want
+    assert sorted(map(str, calls)) == ["False", "True", "jd", "jd"]  # jd: classify's own, then the shared one
+
+
+def test_check_window_tells_a_misfit_from_bad_input():
+    check_window(None, 0)
+    check_window((0, 3), 3)
+    with pytest.raises(HeightExceeded, match=r"^need 0 <= m <= M <= n$"):
+        check_window((1, 4), 3)
+    for window in ((2, 1), (-1, 1), (5, 4)):
+        with pytest.raises(ValueError, match=r"^need 0 <= m <= M <= n$") as e:
+            check_window(window, 3)
+        assert type(e.value) is ValueError, window
 
 
 def test_distributive_implies_modular(pow4, sub3, m3, n5, l1, l2):
