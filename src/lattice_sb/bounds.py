@@ -26,8 +26,7 @@ def puncture_budget(d: int, distributive: bool) -> int:
     and at most 2 on modular ones (drop bound 1/beta with beta = 1/2), so
     alpha = d-1, respectively floor((d-1)/2).
     """
-    if d < 1:
-        raise ValueError("minimum distance must be >= 1")
+    _check_distances((d,))
     return d - 1 if distributive else (d - 1) // 2
 
 

@@ -52,14 +52,37 @@ def whitney(lat: Lattice) -> list[int]:
     return counts
 
 
+# The prime bases 2..41 of the Miller-Rabin test, and psi_13, the least
+# composite that passes all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def is_prime(q: int) -> bool:
+    """Whether q is prime, exactly, for q < PRIME_LIMIT: a Miller-Rabin test
+    on PRIME_BASES, which takes O(log q) multiplications per base.
+
+    Raises ValueError for q >= PRIME_LIMIT, where the test is not exact.
+    """
+    if q >= PRIME_LIMIT:
+        raise ValueError(f"q must be below {PRIME_LIMIT}, where primality is decided exactly, got {q}")
     if q < 2:
         return False
-    f = 2
-    while f * f <= q:
-        if q % f == 0:
+    for a in PRIME_BASES:
+        if q % a == 0:
+            return q == a
+    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = 2^s * odd
+    for a in PRIME_BASES:
+        x = pow(a, (q - 1) >> s, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
             return False
-        f += 1
     return True
 
 

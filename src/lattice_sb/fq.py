@@ -6,9 +6,11 @@ canonical name.  On top of that sit the constructors for the projective
 lattice Sub(F_q^n), the power-set lattice, and the four small named example
 lattices (M3, N5, L1, L2).
 
-The projective lattice takes its order from vector masks: vector x of F_q^n
-is bit sum(x_i * q^i), a subspace is the mask of its vectors, and A <= B is
-a subset test on the masks.
+Both family lattices are geometric, and each element of them is read as the
+mask of the atoms below it: a subset of {1..n} is itself, a subspace of
+F_q^n is the mask of its points (1-spaces), [n]_q bits at most.  One cover
+rule (fq._build_family) and one height distance (FamilyWindow) read those
+masks for both families.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .counting import check_family, check_field, gaussian, is_prime  # noqa: F401  (fq.is_prime stays)
+from .counting import is_prime  # noqa: F401  (fq.is_prime stays)
+from .counting import check_family, check_field, gaussian, whitney_closed_form
 from .lattice import (
     CapExceeded,
     Lattice,
@@ -186,12 +189,7 @@ def build_powerset_lattice(n: int, max_elements: int | None = None) -> Lattice:
     The result records its family as ("powerset", n, None).  n above 20 is
     over every cap, so it raises CapExceeded whatever max_elements says.
     """
-    size = family_size("powerset", n, None, max_elements)
-    names = [_subset_name(s) for s in range(size)]
-    covers = [(s, s | (1 << i)) for s in range(size) for i in range(n) if not (s >> i) & 1]
-    lat = build_lattice(names, covers)
-    lat.family = ("powerset", n, None)
-    return lat
+    return _build_family(family_window("powerset", n, None, None, max_elements))
 
 
 def _subset_name(s: int) -> str:
@@ -202,57 +200,73 @@ def build_projective_lattice(n: int, q: int, max_elements: int | None = None) ->
     """The lattice of all subspaces of F_q^n, ordered by inclusion.
 
     Ids follow all_subspaces(n, q) order, so height equals dimension, and
-    the name of an element is subspace_name of its subspace.  Covers join
-    subspaces of consecutive dimensions whose vector masks are nested.  Each
-    subspace is keyed by its smallest nonzero vector (the zero space by the
-    zero vector), and a (k+1)-space b is tested only against the k-spaces
-    whose key lies in b: a k-space inside b has its key in b.  The result
+    the name of an element is subspace_name of its subspace.  The result
     records its family as ("projective", n, q); n = 0 gives the one-element
     lattice of the zero space.
     """
-    family_size("projective", n, q, max_elements)
-    subs = _projective_index(n, q)[0]
-    masks = _vector_masks(subs)
-    by_key: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
-    for i, s in enumerate(subs):
-        rest = masks[i] ^ 1  # the zero vector is bit 0, and keys the zero space
-        by_key[s.dim].setdefault((rest & -rest).bit_length() - 1 if rest else 0, []).append(i)
-    key_masks = [sum(1 << v for v in level) for level in by_key]
+    return _build_family(family_window("projective", n, q, None, max_elements))
+
+
+def _build_family(win: FamilyWindow) -> Lattice:
+    """The lattice of a family window that holds every height.
+
+    The elements that cover a are those one height up that hold every atom
+    of a, as both families are atomistic: one AND of a bitset per atom of a,
+    each bitset the elements of the next height that hold that atom.  The
+    bottom has no atoms, so every atom covers it.
+    """
+    masks = win._masks
+    levels: list[list[int]] = [[] for _ in range(win.total_height() + 1)]
+    for x, h in enumerate(win.heights):
+        levels[h].append(x)
     covers = []
-    for b, s in enumerate(subs):
-        if s.dim:
-            mb, below = masks[b], by_key[s.dim - 1]
-            keys = mb & key_masks[s.dim - 1]
-            covers += [(a, b) for v in iter_bits(keys) for a in below[v] if not masks[a] & ~mb]
-    lat = build_lattice([subspace_name(s) for s in subs], covers)
-    lat.family = ("projective", n, q)
+    for lower, upper in zip(levels, levels[1:]):
+        holding: dict[int, int] = {}  # atom -> bit i for each upper[i] above it
+        for i, b in enumerate(upper):
+            for p in iter_bits(masks[b]):
+                holding[p] = holding.get(p, 0) | 1 << i
+        for a in lower:
+            above = (1 << len(upper)) - 1
+            for p in iter_bits(masks[a]):
+                above &= holding[p]
+            covers += [(a, upper[i]) for i in iter_bits(above)]
+    lat = build_lattice(win.names, covers)
+    lat.family = win.family
     return lat
 
 
-def _vector_masks(subs: Sequence[Subspace]) -> list[int]:
-    """The mask of the vectors of each subspace; vector x is bit sum(x_i * q^i).
+def _point_masks(subs: Sequence[Subspace]) -> list[int]:
+    """The mask of the points (1-spaces) of each subspace: point i is bit i,
+    the i-th 1-space of subs, so a mask has at most [n]_q bits.  subs lists
+    the subspaces of F_q^n dimension-ascending, from the zero space up to
+    some dimension.
 
-    The span of RREF rows r_1..r_k is the span of r_2..r_k plus the
-    multiples of r_1.  Dropping the first row of an RREF matrix leaves an
-    RREF matrix of one dimension less, so with subs dimension-ascending
-    that span is already known.  Vectors stay integer-coded throughout.
+    The span of RREF rows r_1..r_k is the span V of r_2..r_k plus the
+    multiples of r_1 + v for v in V.  r_1 + v is 0 before the pivot of r_1
+    and 1 there, so it is the RREF row of its point, and the points the
+    subspace adds to those of V are the <r_1 + v>.  Dropping the first row of
+    an RREF matrix leaves an RREF matrix of one dimension less, so V is met
+    before the subspace, and a point gets its bit where its 1-space is met.
+    V is 0 in the first coordinate, so only the spans that are 0 there keep
+    their vectors: at most q^(n-1) each, for the subspaces of F_q^(n-1).
     """
-    spans: dict[tuple, list[int]] = {(): [0]}
-    masks = []
-    for s in subs:
-        if s.rows:
-            q, place = s.q, [s.q**i for i in range(s.ambient)]
-            rest = spans[s.rows[1:]]
-            codes = list(rest)
-            for a in range(1, q):
-                step = [(p, a * x) for p, x in zip(place, s.rows[0])]
-                for c in rest:
-                    codes.append(sum((c // p + ax) % q * p for p, ax in step))
-            spans[s.rows] = codes
-        mask = 0
-        for c in spans[s.rows]:
-            mask |= 1 << c
+    zero = subs[0]
+    q, n = zero.q, zero.ambient
+    known = {(): ([(0,) * n], 0)}  # rows -> (the vectors of their span, its mask)
+    points: dict[tuple[int, ...], int] = {}
+    masks = [0]
+    for s in subs[1:]:
+        r1 = s.rows[0]
+        vectors, mask = known[s.rows[1:]]
+        if s.dim == 1:
+            points[r1] = len(points)
+        shifted = [tuple((x + y) % q for x, y in zip(r1, v)) for v in vectors]
+        for u in shifted:
+            mask |= 1 << points[u]
         masks.append(mask)
+        if not r1[0]:
+            known[s.rows] = (vectors + shifted + [tuple((a * x + y) % q for x, y in zip(r1, v))
+                                                  for a in range(2, q) for v in vectors], mask)
     return masks
 
 
@@ -262,11 +276,11 @@ class FamilyWindow:
 
     Local ids 0..m-1 follow the lattice ids ascending, so names, heights and
     the order of members are those of the built lattice.  Each element
-    carries a mask: its vectors on Sub(F_q^n), its subset on 2^[n].  On
-    Sub(F_q^n) the meet of a and b is the mask intersection, so
-    d(a, b) = h(a) + h(b) - 2 h(a ^ b) takes h(a ^ b) as log_q of the count
-    of common vectors: the subspace distance.  On 2^[n] it is the Hamming
-    distance, the popcount of a ^ b.  The search, greedy packing and
+    carries the mask of the atoms below it: its subset on 2^[n], its points
+    on Sub(F_q^n).  Both lattices are geometric, so the atoms of a ^ b are
+    the common atoms of a and b, and d(a, b) = h(a) + h(b) - 2 h(a ^ b)
+    reads h(a ^ b) off their count: the Hamming distance on 2^[n], the
+    subspace distance on Sub(F_q^n).  The search, greedy packing and
     make_scheme read only names, heights, height, total_height, distance,
     distances, family and len, which a Lattice offers too.  `window` is the
     (m, M) it holds, and window_ids refuses any other.
@@ -278,7 +292,7 @@ class FamilyWindow:
         self.names = tuple(names)
         self.heights = tuple(heights)
         self._masks = tuple(masks)
-        self._meet_height = meet_height  # common vectors -> h(a ^ b); None on 2^[n]
+        self._meet_height = meet_height  # count of common atoms -> h(a ^ b)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -297,8 +311,6 @@ class FamilyWindow:
         """[distance(a, b) for b in others]."""
         h, masks, meet = self.heights, self._masks, self._meet_height
         ha, ma = h[a], masks[a]
-        if meet is None:
-            return [(ma ^ masks[b]).bit_count() for b in others]
         return [ha + h[b] - 2 * meet[(ma & masks[b]).bit_count()] for b in others]
 
 
@@ -317,16 +329,16 @@ def family_window(family: str, n: int, q: int | None, window: tuple[int, int] | 
     check_window(window, n)
     lo, hi = window or (0, n)
     if family == "powerset":
+        q = None  # 2^[n] records no field
         masks = [s for s in range(1 << n) if lo <= s.bit_count() <= hi]
-        names = [_subset_name(s) for s in masks]
-        heights = [s.bit_count() for s in masks]
-        return FamilyWindow(("powerset", n, None), (lo, hi), names, heights, masks, None)
-    subs = [s for k in range(hi + 1) for s in enumerate_grassmannian(n, k, q)]
-    masks = _vector_masks(subs)  # it needs every dimension up to hi
-    keep = [i for i, s in enumerate(subs) if s.dim >= lo]
-    return FamilyWindow(("projective", n, q), (lo, hi), [subspace_name(subs[i]) for i in keep],
-                        [subs[i].dim for i in keep], [masks[i] for i in keep],
-                        {q**k: k for k in range(n + 1)})
+        names, heights = [_subset_name(s) for s in masks], [s.bit_count() for s in masks]
+    else:
+        subs = [s for s in _projective_index(n, q)[0] if s.dim <= hi]  # the masks need every dimension to hi
+        kept = [(s, mask) for s, mask in zip(subs, _point_masks(subs)) if s.dim >= lo]
+        masks = [mask for _, mask in kept]
+        names, heights = [subspace_name(s) for s, _ in kept], [s.dim for s, _ in kept]
+    meet_height = {whitney_closed_form(family, k, 1, q): k for k in range(n + 1)}
+    return FamilyWindow((family, n, q), (lo, hi), names, heights, masks, meet_height)
 
 
 def subspace_name(sub: Subspace) -> str:

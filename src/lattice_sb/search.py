@@ -27,9 +27,10 @@ the optimum.  A higher start only prunes more, so it never adds nodes.
 The search reads its lattice only through heights, total_height, distance,
 distances, family and len, and asks is_modular() only where family is None.
 fq.FamilyWindow offers the same for a window of 2^[n] or Sub(F_q^n), built
-from subset bitmasks or vector masks; the command line searches those
-families on it instead of building the lattice.  A family window holds one
-window's elements, so window_ids refuses to search it with another.
+from the mask of the atoms below each element; the command line searches
+those families on it instead of building the lattice.  A family window
+holds one window's elements, so window_ids refuses to search it with
+another.
 
 The search stops at a cap, an upper bound on the clique size, taken as the
 smaller of two bounds where either holds.  On a lattice made by a family
@@ -68,8 +69,8 @@ import random
 import time
 from typing import NamedTuple
 
-from .bounds import anticode_bound
-from .lattice import Lattice, check_window, iter_bits, window_ids
+from .bounds import _check_distances, anticode_bound
+from .lattice import Lattice, iter_bits, window_ids
 from .schemes import Scheme, make_scheme
 
 
@@ -224,18 +225,18 @@ def max_code(problem: SearchProblem) -> SearchResult:
     exhausted, or a scheme reached the cap), and the deterministic node
     count.  The returned scheme is re-verified through the schemes module
     before being reported.  Raises ValueError, in this order, for a window
-    outside the heights 0..height of the lattice, d < 1, a negative node
-    budget or a time budget that is not positive.
+    outside the heights 0..height of the lattice (or another than a family
+    window holds), d < 1, a negative node budget or a time budget that is
+    not positive.
     """
     lat = problem.lattice
-    check_window(problem.window, lat.total_height())
-    if problem.d < 1:
-        raise ValueError("minimum distance must be >= 1")
+    ids = window_ids(lat, problem.window)
+    _check_distances((problem.d,))
     if problem.budget_nodes < 0:
         raise ValueError(f"budget_nodes (--budget-nodes) must be >= 0, got {problem.budget_nodes}")
     if not problem.budget_secs > 0:
         raise ValueError(f"budget_secs (--budget-secs) must be > 0, got {problem.budget_secs}")
-    verts, adj, ball = _build_graph(lat, problem.d, window_ids(lat, problem.window))
+    verts, adj, ball = _build_graph(lat, problem.d, ids)
     m = len(verts)
     cap = m // ball if lat.family is not None or lat.is_modular() else None
     if lat.family is not None:
@@ -274,8 +275,7 @@ def greedy_code(lat: Lattice, d: int, seed: int | None = None, window=None) -> S
     Takes the window in the search's vertex order (height, then id), or in
     that order shuffled by seed.
     """
-    if d < 1:
-        raise ValueError("minimum distance must be >= 1")
+    _check_distances((d,))
     verts, adj, _ = _build_graph(lat, d, window_ids(lat, window))
     order = list(range(len(verts)))
     if seed is not None:

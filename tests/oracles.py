@@ -3,11 +3,12 @@
 The library decides each job one way; these routines decide the same things
 another way, and only the tests call them.
 
-The projective lattice takes its order from vector masks: vector x of F_q^n
-is bit sum(x_i * q^i), a subspace is the mask of its vectors, and A <= B is
-a subset test on the masks.  The elimination routines (reduce_vector,
-subspace_leq, subspace_sum, subspace_intersect) decide the same relations
-by linear algebra and serve as the reference for that order.
+The projective lattice takes its order from point masks: a subspace is the
+mask of its 1-spaces, and A <= B is a subset test on the masks.  The
+elimination routines (reduce_vector, subspace_leq, subspace_sum,
+subspace_intersect) decide the same relations by linear algebra and serve
+as the reference for that order.  Primality is decided by trial division
+here, against the Miller-Rabin test of `counting.is_prime`.
 
 Two independent Gaussian-binomial algorithms are kept on purpose as mutual
 oracles: `counting.gaussian` (product formula with exact stepwise division)
@@ -20,6 +21,7 @@ so they check the height metric without the cover-pair tests that decide
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -39,6 +41,14 @@ def gaussian_pascal(n: int, k: int, q: int) -> int:
     if k == 0 or k == n:
         return 1
     return gaussian_pascal(n - 1, k - 1, q) + q**k * gaussian_pascal(n - 1, k, q)
+
+
+# --- primality ---------------------------------------------------------------------
+
+
+def is_prime_by_trial_division(q: int) -> bool:
+    """Whether q is prime, by trial division up to sqrt(q)."""
+    return q >= 2 and all(q % f for f in range(2, math.isqrt(q) + 1))
 
 
 # --- elimination on F_q^n ----------------------------------------------------------

@@ -12,6 +12,7 @@ from lattice_sb import (
     NotALatticeError,
     all_subspaces,
     build_lattice,
+    build_powerset_lattice,
     build_projective_lattice,
     sublattice_closure,
     subspace_to_text,
@@ -42,6 +43,13 @@ def test_projective_lattice_matches_linear_algebra(n, q):
             assert lat.join(a, b) == ids[subspace_sum(sa, sb)]
             assert lat.meet(a, b) == ids[subspace_intersect(sa, sb)]
             assert lat.leq(a, b) == subspace_leq(sa, sb)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_powerset_covers_add_one_point(n):
+    lat = build_powerset_lattice(n, max_elements=256)
+    covers = sorted((s, s | 1 << i) for s in range(1 << n) for i in range(n) if not s >> i & 1)
+    assert list(lat.covers) == covers
 
 
 def test_subspace_names():

@@ -32,6 +32,7 @@ from lattice_sb import fq
 from lattice_sb import schemes as sch
 from lattice_sb import search as srch
 from lattice_sb.cli import main
+from lattice_sb.counting import PRIME_LIMIT
 from oracles import subspace_intersect
 
 
@@ -224,6 +225,8 @@ def test_bounds_family_input_errors_exit_2(capsys, argv):
     (("--projective", "--n-min", "0", "--n-max", "3", "-d", "9", "--window", "3", "2"),
      "need 0 <= m <= M <= n"),
     (("--projective", "-q", "4", "--n-min", "0", "--n-max", "3", "-d", "9"), "q must be a prime, got 4"),
+    (("--projective", "-q", str(2**89 - 1), "--n-min", "0", "--n-max", "3", "-d", "9"),
+     f"q must be below {PRIME_LIMIT}, where primality is decided exactly, got {2**89 - 1}"),
 ])
 def test_bounds_input_error_comes_before_any_warning(capsys, argv, error):
     # the first row would not fit n, yet the input error stops the table first
@@ -893,7 +896,7 @@ def test_search_family_gv_is_the_built_lattices(capsys, monkeypatch, n, q, d, wi
 
 def test_search_line_packing_of_pg52_builds_no_lattice(capsys, monkeypatch):
     # A_2(6,4;2) = 21: greedy meets the anticode cap 651 / 31 = 21 at the
-    # root, read off the 651 lines' vector masks; no Lattice is built, by any
+    # root, read off the 651 lines' point masks; no Lattice is built, by any
     # module that holds the constructor
     def no_build(*args, **kwargs):
         raise AssertionError("lattice built for a family search")
@@ -968,6 +971,28 @@ def test_cli_import_skips_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("command", [("check",), ("search", "-d", "1")])
+def test_a_large_field_costs_neither_memory_nor_time(command):
+    # Sub(F_q^1) has two elements and one point, whatever q is
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "lattice_sb", command[0], "--projective", "-n", "1", "-q", "1000000007",
+         *command[1:]],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_memory,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert time.perf_counter() - start < 2
 
 
 def test_python_dash_m_entry():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,8 +17,8 @@ from lattice_sb import (
     whitney_closed_form,
 )
 from lattice_sb import counting, fq
-from lattice_sb.counting import check_family, is_prime
-from oracles import gaussian_pascal
+from lattice_sb.counting import PRIME_LIMIT, check_family, check_field, is_prime
+from oracles import gaussian_pascal, is_prime_by_trial_division
 
 
 # --- binomial ---------------------------------------------------------------------
@@ -151,3 +152,33 @@ def test_check_family_accepts():
 
 def test_fq_keeps_the_field_check():
     assert (fq.is_prime, fq.check_field) == (is_prime, counting.check_field)
+
+
+# --- primality --------------------------------------------------------------------
+
+
+def test_is_prime_agrees_with_trial_division():
+    qs = range(-3, 20_000)
+    assert [q for q in qs if is_prime(q)] == [q for q in qs if is_prime_by_trial_division(q)]
+
+
+@pytest.mark.parametrize("q", [3215031751, 3825123056546413051, 318665857834031151167461])
+def test_is_prime_rejects_strong_pseudoprimes(q):
+    # the least composites that pass every prime base up to 7, up to 31 and
+    # up to 37: only a later base of the test catches each
+    assert not is_prime(q)
+
+
+def test_is_prime_accepts_a_large_prime_fast():
+    start = time.perf_counter()
+    assert is_prime(2**61 - 1)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("q", [PRIME_LIMIT, 2**89 - 1])
+def test_field_check_refuses_q_where_primality_is_not_exact(q):
+    # PRIME_LIMIT passes every base of the test, and 2^89 - 1, a prime, lies above it
+    text = f"q must be below {PRIME_LIMIT}, where primality is decided exactly, got {q}"
+    for check in (is_prime, check_field):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            check(q)

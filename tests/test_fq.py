@@ -264,6 +264,17 @@ def test_projective_cap():
     assert len(lat) == 374
 
 
+@pytest.mark.parametrize("n, q", [(0, 2), (1, 7), (3, 2), (4, 3), (2, 11), (3, 5)])
+def test_point_masks_hold_the_points_of_each_subspace(n, q):
+    # one bit per 1-space, in id order, so no mask is longer than [n]_q
+    subs = list(all_subspaces(n, q))
+    points = [s for s in subs if s.dim == 1]
+    masks = fq._point_masks(subs)
+    assert all(mask.bit_length() <= gaussian(n, 1, q) for mask in masks)
+    for s, mask in zip(subs, masks):
+        assert mask == sum(1 << i for i, p in enumerate(points) if subspace_leq(p, s))
+
+
 def test_projective_rejects_nonprime():
     with pytest.raises(ValueError):
         build_projective_lattice(3, 4)
