@@ -16,7 +16,7 @@ FAMILIES = ("powerset", "projective")
 def binomial(n: int, k: int) -> int:
     """C(n, k) with the total convention: out-of-range k gives 0."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise ValueError(f"n must be >= 0, got {n}")
     if k < 0 or k > n:
         return 0
     return comb(n, k)
@@ -24,7 +24,7 @@ def binomial(n: int, k: int) -> int:
 
 def _check_nq(n: int, q: int):
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise ValueError(f"n must be >= 0, got {n}")
     if q < 2:
         raise ValueError("q must be >= 2")
 

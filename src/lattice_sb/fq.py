@@ -333,7 +333,10 @@ def family_window(family: str, n: int, q: int | None, window: tuple[int, int] | 
         masks = [s for s in range(1 << n) if lo <= s.bit_count() <= hi]
         names, heights = [_subset_name(s) for s in masks], [s.bit_count() for s in masks]
     else:
-        subs = [s for s in _projective_index(n, q)[0] if s.dim <= hi]  # the masks need every dimension to hi
+        # the masks need every dimension up to hi, a prefix of the id order;
+        # the whole lattice reads (and caches) the index subspace_id reads
+        subs = _projective_index(n, q)[0] if hi == n else \
+            [s for k in range(hi + 1) for s in enumerate_grassmannian(n, k, q)]
         kept = [(s, mask) for s, mask in zip(subs, _point_masks(subs)) if s.dim >= lo]
         masks = [mask for _, mask in kept]
         names, heights = [subspace_name(s) for s, _ in kept], [s.dim for s, _ in kept]

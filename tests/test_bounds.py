@@ -9,6 +9,7 @@ from lattice_sb import (
     BoundReport,
     SearchProblem,
     anticode_bound,
+    binomial,
     build_lattice,
     build_named_lattice,
     build_powerset_lattice,
@@ -176,8 +177,10 @@ def test_non_prime_q_is_refused_with_one_text(q):
 
 @pytest.mark.parametrize("family, q", [("powerset", None), ("projective", 2)])
 def test_negative_n_is_refused_with_one_text(family, q):
-    grassmannian = [lambda: list(fq.enumerate_grassmannian(-1, 0, q))] if q else []
-    for call in family_calls(family, -1, q) + grassmannian:
+    # the family's own count, a root export, and its enumeration
+    count = [lambda: gaussian(-1, 0, q), lambda: list(fq.enumerate_grassmannian(-1, 0, q))] if q \
+        else [lambda: binomial(-1, 0)]
+    for call in family_calls(family, -1, q) + count:
         with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
             call()
 

@@ -347,6 +347,24 @@ def test_family_window_matches_built_lattice(family, n, q):
         assert win.distance(a, b) == lat.distance(a, b)
 
 
+def test_low_projective_window_enumerates_only_its_dimensions(monkeypatch):
+    # the subspaces up to dimension M are a prefix of the id order, so a low
+    # window of Sub(F_2^6) keeps the names, heights and point masks that the
+    # whole enumeration gives its elements
+    subs = list(all_subspaces(6, 2))
+    masks = fq._point_masks(subs)
+    kept = [i for i, s in enumerate(subs) if s.dim == 2]
+    dims = []
+    grassmannian = fq.enumerate_grassmannian
+    monkeypatch.setattr(fq, "enumerate_grassmannian", lambda n, k, q: dims.append(k) or grassmannian(n, k, q))
+    monkeypatch.setattr(fq, "_projective_index", lambda n, q: pytest.fail("enumerated all of Sub(F_q^n)"))
+    win = family_window("projective", 6, 2, (2, 2), 3000)
+    assert dims == [0, 1, 2]
+    assert win.names == tuple(fq.subspace_name(subs[i]) for i in kept)
+    assert win.heights == (2,) * len(kept) and len(kept) == gaussian(6, 2, 2)
+    assert win._masks == tuple(masks[i] for i in kept)
+
+
 @pytest.mark.parametrize("args", [("powerset", 9, None, None, None), ("powerset", -1, None, None, None),
                                   ("powerset", 21, None, None, 10**7),
                                   ("projective", 5, 2, (1, 2), None), ("projective", 3, 4, None, None),

@@ -3,14 +3,17 @@ the README's library example."""
 
 import ast
 import contextlib
+import importlib
 import io
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
 import lattice_sb
-from lattice_sb import Lattice, bounds, counting, fq
+from lattice_sb import Lattice, bounds, counting, fq, lattice
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -27,9 +30,11 @@ ROOT_REMOVED = ["gaussian_pascal", "subspace_intersect", "subspace_leq", "subspa
 
 
 def _init_imports() -> list[str]:
+    """The names __init__ imports eagerly, plus those its lazy table lists."""
     tree = ast.parse(pathlib.Path(lattice_sb.__file__).read_text())
-    return [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
-            for alias in node.names]
+    eager = [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+             for alias in node.names]
+    return eager + list(lattice_sb._LAZY)
 
 
 def test_all_is_what_init_imports():
@@ -38,6 +43,48 @@ def test_all_is_what_init_imports():
     assert sorted(names) == sorted(_init_imports())
     for name in names:
         assert getattr(lattice_sb, name) is not None, name
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The lattice_sb modules a fresh interpreter holds after running code."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\n"
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'lattice_sb'))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
+
+
+CORE = ["lattice_sb", "lattice_sb.counting", "lattice_sb.fq", "lattice_sb.lattice"]
+
+
+def test_import_loads_only_the_core():
+    assert _loaded_after("import lattice_sb") == CORE
+    assert _loaded_after("from lattice_sb import fq, lattice") == CORE
+
+
+def test_a_lazy_name_loads_its_module_on_first_use():
+    assert "lattice_sb.search" in _loaded_after("from lattice_sb import max_code")
+    assert "lattice_sb.bounds" in _loaded_after("import lattice_sb\nlattice_sb.lsb")
+    assert "lattice_sb.schemes" in _loaded_after("import lattice_sb\nlattice_sb.schemes.puncture")
+
+
+@pytest.mark.parametrize("name", lattice_sb.__all__)
+def test_every_root_export_is_its_module_object(name):
+    lazy = lattice_sb._LAZY.get(name)
+    owners = [importlib.import_module(f"lattice_sb.{lazy}")] if lazy else [counting, fq, lattice]
+    owner = next(m for m in owners if name in vars(m))
+    assert getattr(lattice_sb, name) is vars(owner)[name]
+    assert name in vars(lattice_sb)  # resolved once, then kept
+
+
+def test_dir_lists_every_export_and_unknown_names_raise():
+    assert set(lattice_sb.__all__) <= set(dir(lattice_sb))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        lattice_sb.no_such_name  # noqa: B018
+    assert not hasattr(lattice_sb, "no_such_name")
 
 
 @pytest.mark.parametrize("owner, name", [(lattice_sb, nm) for nm in ROOT_REMOVED]
