@@ -11,12 +11,14 @@ import json
 import re
 import sys
 
-from . import bounds as bnd
+# not `from . import`: the package's lazy __getattr__ loads these unseen by -X importtime
+import lattice_sb.bounds as bnd
+import lattice_sb.schemes as sch
+import lattice_sb.search as srch
+
 from . import counting
 from . import fq
 from . import lattice as lt
-from . import schemes as sch
-from . import search as srch
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -346,72 +348,80 @@ def cmd_export_dot(args) -> int:
 # --- parser ----------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = {  # subcommand -> (its function, its line in the top-level help)
+    "check": (cmd_check, "validate a lattice and print its classification"),
+    "bounds": (cmd_bounds, "bound table as CSV"),
+    "fig5": (cmd_fig5, "bound-vs-lower-bound curve data (CSV), plus a plot script next to -o"),
+    "scheme": (cmd_scheme, "min distance / puncture / puncture-project a scheme file"),
+    "search": (cmd_search, "exhaustive maximum-scheme search (JSON report)"),
+    "export-dot": (cmd_export_dot, "Hasse diagram as DOT"),
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, command: str):
+    """The options of one subcommand: -o and --max-elements, which every one
+    takes, then its own."""
+    p.add_argument("-o", "--output", metavar="PATH")
+    p.add_argument("--max-elements", type=int, default=None,
+                   help=f"materialization cap (default {lt.DEFAULT_MAX_ELEMENTS})")
+    if command in ("check", "search", "export-dot"):
+        _add_source(p)
+    if command == "bounds":
+        p.add_argument("--powerset", action="store_true", default=None, help="power-set family")
+        p.add_argument("--projective", action="store_true", default=None, help="projective family")
+        p.add_argument("--lattice", metavar="PATH", help="explicit lattice JSON")
+        p.add_argument("-q", type=int, default=2)
+        p.add_argument("-n", type=int)
+        p.add_argument("--n-min", type=int)
+        p.add_argument("--n-max", type=int)
+        p.add_argument("-d", type=int)
+        p.add_argument("--d-min", type=int)
+        p.add_argument("--d-max", type=int)
+        p.add_argument("--window", type=int, nargs=2, metavar=("M_LO", "M_HI"),
+                       help="height window for the tightened bound")
+    elif command == "fig5":
+        p.add_argument("-q", type=int, default=2)
+        p.add_argument("-d", type=int, default=4)
+        p.add_argument("--n-min", type=int, default=4)
+        p.add_argument("--n-max", type=int, default=20)
+        p.add_argument("--overlay", metavar="PATH", help="CSV with header label,n,log2size")
+    elif command == "scheme":
+        p.add_argument("action", choices=["mindist", "puncture", "puncture-project"])
+        p.add_argument("file", metavar="SCHEME_FILE")
+        p.add_argument("--w", metavar="ELEMENT", help="puncturing element (binary string or subspace rows)")
+        p.add_argument("--policy", choices=list(sch.CHOOSER_POLICIES), default="least")
+        p.add_argument("--seed", type=int, default=None)
+    elif command == "search":
+        p.add_argument("-d", type=int, required=True)
+        p.add_argument("--window", type=int, nargs=2, metavar=("M_LO", "M_HI"))
+        p.add_argument("--budget-nodes", type=int, default=10_000_000)
+        p.add_argument("--budget-secs", type=float, default=60.0)
+
+
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for argv.  Every subcommand is registered, so the top-level
+    help and the error for an unknown one list them all, but only the one
+    that argv[0] names gets its options, or all of them when it names none:
+    building all six costs a short command more than its own work."""
     parser = argparse.ArgumentParser(
         prog="lattice-sb",
         description="Finite-lattice coding workbench: schemes, Singleton-type bounds, exhaustive search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)  # the flags every subcommand takes
-    common.add_argument("-o", "--output", metavar="PATH")
-    common.add_argument("--max-elements", type=int, default=None,
-                        help=f"materialization cap (default {lt.DEFAULT_MAX_ELEMENTS})")
-
-    p = sub.add_parser("check", parents=[common], help="validate a lattice and print its classification")
-    _add_source(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("bounds", parents=[common], help="bound table as CSV")
-    p.add_argument("--powerset", action="store_true", default=None, help="power-set family")
-    p.add_argument("--projective", action="store_true", default=None, help="projective family")
-    p.add_argument("--lattice", metavar="PATH", help="explicit lattice JSON")
-    p.add_argument("-q", type=int, default=2)
-    p.add_argument("-n", type=int)
-    p.add_argument("--n-min", type=int)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("-d", type=int)
-    p.add_argument("--d-min", type=int)
-    p.add_argument("--d-max", type=int)
-    p.add_argument("--window", type=int, nargs=2, metavar=("M_LO", "M_HI"),
-                   help="height window for the tightened bound")
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("fig5", parents=[common],
-                       help="bound-vs-lower-bound curve data (CSV), plus a plot script next to -o")
-    p.add_argument("-q", type=int, default=2)
-    p.add_argument("-d", type=int, default=4)
-    p.add_argument("--n-min", type=int, default=4)
-    p.add_argument("--n-max", type=int, default=20)
-    p.add_argument("--overlay", metavar="PATH", help="CSV with header label,n,log2size")
-    p.set_defaults(func=cmd_fig5)
-
-    p = sub.add_parser("scheme", parents=[common],
-                       help="min distance / puncture / puncture-project a scheme file")
-    p.add_argument("action", choices=["mindist", "puncture", "puncture-project"])
-    p.add_argument("file", metavar="SCHEME_FILE")
-    p.add_argument("--w", metavar="ELEMENT", help="puncturing element (binary string or subspace rows)")
-    p.add_argument("--policy", choices=list(sch.CHOOSER_POLICIES), default="least")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_scheme)
-
-    p = sub.add_parser("search", parents=[common], help="exhaustive maximum-scheme search (JSON report)")
-    _add_source(p)
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("--window", type=int, nargs=2, metavar=("M_LO", "M_HI"))
-    p.add_argument("--budget-nodes", type=int, default=10_000_000)
-    p.add_argument("--budget-secs", type=float, default=60.0)
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("export-dot", parents=[common], help="Hasse diagram as DOT")
-    _add_source(p)
-    p.set_defaults(func=cmd_export_dot)
-
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    for command, (func, text) in _COMMANDS.items():
+        if named in (None, command):
+            p = sub.add_parser(command, help=text)
+            _add_arguments(p, command)
+            p.set_defaults(func=func)
+        else:
+            sub.add_parser(command, help=text, add_help=False)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         lt.element_cap(args.max_elements)  # a bad cap is an input error on every command
         return args.func(args)

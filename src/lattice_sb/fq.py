@@ -280,19 +280,21 @@ class FamilyWindow:
     on Sub(F_q^n).  Both lattices are geometric, so the atoms of a ^ b are
     the common atoms of a and b, and d(a, b) = h(a) + h(b) - 2 h(a ^ b)
     reads h(a ^ b) off their count: the Hamming distance on 2^[n], the
-    subspace distance on Sub(F_q^n).  The search, greedy packing and
-    make_scheme read only names, heights, height, total_height, distance,
-    distances, family and len, which a Lattice offers too.  `window` is the
-    (m, M) it holds, and window_ids refuses any other.
+    subspace distance on Sub(F_q^n).  make_scheme reads only names,
+    heights, height, total_height, distance, distances, family and len,
+    which a Lattice offers too; the search and greedy packing read the
+    same, except that they take the distance graph from distance_rows.
+    `window` is the (m, M) it holds, and window_ids refuses any other.
     """
 
-    def __init__(self, family: tuple, window: tuple[int, int], names, heights, masks, meet_height):
+    def __init__(self, family: tuple, window: tuple[int, int], names, heights, masks, atoms_at):
         self.family = family  # (family, n, q), as a family builder records it
         self.window = window
         self.names = tuple(names)
         self.heights = tuple(heights)
         self._masks = tuple(masks)
-        self._meet_height = meet_height  # count of common atoms -> h(a ^ b)
+        self._atoms_at = tuple(atoms_at)  # height k -> atoms below an element of height k
+        self._meet_height = {c: k for k, c in enumerate(atoms_at)}  # common atoms -> h(a ^ b)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -312,6 +314,93 @@ class FamilyWindow:
         h, masks, meet = self.heights, self._masks, self._meet_height
         ha, ma = h[a], masks[a]
         return [ha + h[b] - 2 * meet[(ma & masks[b]).bit_count()] for b in others]
+
+    def distance_rows(self, verts: Sequence[int], d: int) -> tuple[list[int], list[int]]:
+        """(adj, near) over the positions of verts: bit j of adj[i] is set
+        where distance(verts[i], verts[j]) >= d, and near[i] counts the j
+        within distance floor((d-1)/2) of verts[i], i itself included.
+
+        One bitset per atom holds the positions of the elements above it.
+        Added up as bit-sliced counters, the bitsets of the atoms of a give
+        |atoms(a) & atoms(b)| at every position b at once.  On Sub(F_q^n) a
+        common-atom count [k]_q means h(a ^ b) = k, so one comparison of the
+        counters per height of the window and per threshold gives a's row
+        and its ball.  On 2^[n] the bitsets of the atoms outside a and the
+        complements of those in a add up to the size of the symmetric
+        difference of a and b, the distance itself, so two comparisons serve
+        every height.
+        """
+        t = (d - 1) // 2
+        m = len(verts)
+        full = (1 << m) - 1
+        masks, atoms_at = self._masks, self._atoms_at
+        above = [0] * atoms_at[-1]  # atom -> the positions above it
+        for j, v in enumerate(verts):
+            for p in iter_bits(masks[v]):
+                above[p] |= 1 << j
+        adj, near = [], []
+        if self.family[0] == "powerset":
+            outside = [b ^ full for b in above]  # atom -> the positions not above it
+            for v in verts:
+                s = masks[v]
+                counts = _bit_sliced_sum([outside[p] if s >> p & 1 else b for p, b in enumerate(above)])
+                adj.append(_at_least(counts, d))
+                near.append(m - _at_least(counts, t + 1).bit_count())
+            return adj, near
+        levels: dict[int, int] = {}  # height -> its positions
+        for j, v in enumerate(verts):
+            h = self.heights[v]
+            levels[h] = levels.get(h, 0) | 1 << j
+        for v in verts:
+            counts = _bit_sliced_sum([above[p] for p in iter_bits(masks[v])])
+            ha = self.heights[v]
+            row = ball = 0
+            for h, level in levels.items():
+                top = min(ha, h)  # the highest meet
+                k = (ha + h - d) // 2  # the highest meet at distance >= d
+                if k >= top:
+                    row |= level
+                elif k >= 0:
+                    row |= level & ~_at_least(counts, atoms_at[k] + 1)
+                k = (ha + h - t + 1) // 2  # the lowest meet within distance t
+                if k <= 0:
+                    ball += level.bit_count()
+                elif k <= top:
+                    ball += (level & _at_least(counts, atoms_at[k])).bit_count()
+            adj.append(row)
+            near.append(ball)
+        return adj, near
+
+
+def _bit_sliced_sum(bitsets: Iterable[int]) -> list[int]:
+    """The counters of how many of the bitsets hold each position, bit-sliced:
+    bit j of counters[b] is bit b of the count at position j."""
+    counters: list[int] = []
+    for carry in bitsets:
+        for b, c in enumerate(counters):
+            counters[b] = c ^ carry
+            carry &= c
+            if not carry:
+                break
+        else:
+            if carry:
+                counters.append(carry)
+    return counters
+
+
+def _at_least(counters: list[int], k: int) -> int:
+    """The positions whose bit-sliced count is at least k, for k >= 1."""
+    if k >> len(counters):
+        return 0
+    ge, eq = 0, -1  # eq: the positions whose count agrees with k on the bits above b
+    for b in range(len(counters) - 1, -1, -1):
+        c = counters[b]
+        if k >> b & 1:
+            eq &= c
+        else:
+            ge |= eq & c
+            eq &= ~c
+    return ge | eq
 
 
 def family_window(family: str, n: int, q: int | None, window: tuple[int, int] | None = None,
@@ -340,8 +429,8 @@ def family_window(family: str, n: int, q: int | None, window: tuple[int, int] | 
         kept = [(s, mask) for s, mask in zip(subs, _point_masks(subs)) if s.dim >= lo]
         masks = [mask for _, mask in kept]
         names, heights = [subspace_name(s) for s, _ in kept], [s.dim for s, _ in kept]
-    meet_height = {whitney_closed_form(family, k, 1, q): k for k in range(n + 1)}
-    return FamilyWindow((family, n, q), (lo, hi), names, heights, masks, meet_height)
+    atoms_at = [whitney_closed_form(family, k, 1, q) for k in range(n + 1)]
+    return FamilyWindow((family, n, q), (lo, hi), names, heights, masks, atoms_at)
 
 
 def subspace_name(sub: Subspace) -> str:

@@ -30,7 +30,9 @@ fq.FamilyWindow offers the same for a window of 2^[n] or Sub(F_q^n), built
 from the mask of the atoms below each element; the command line searches
 those families on it instead of building the lattice.  A family window
 holds one window's elements, so window_ids refuses to search it with
-another.
+another.  It also builds its own distance graph (FamilyWindow.distance_rows):
+bit-sliced counters of common atoms give a vertex's whole row in a few
+big-int operations, where a Lattice takes one distances() pass per vertex.
 
 The search stops at a cap, an upper bound on the clique size, taken as the
 smaller of two bounds where either holds.  On a lattice made by a family
@@ -46,8 +48,8 @@ The other is the sphere-packing cap.  On a modular lattice the height is a
 valuation, so the height distance is a metric (Birkhoff, Lattice Theory,
 ch. X), and the balls of radius t = floor((d-1)/2) around the members of a
 scheme are pairwise disjoint: a scheme of the window W has at most
-|W| / min_x |B(x, t) & W| members.  _build_graph counts the balls in its
-distance pass.  A family lattice is modular by construction, and any other
+|W| / min_x |B(x, t) & W| members.  _build_graph counts the balls with
+the edges.  A family lattice is modular by construction, and any other
 lattice is asked is_modular(): on N5 (d = 3, window (0, 1)) the count gives
 1, against the optimum 2.  When the starting scheme reaches the cap it is
 proven optimal at the root, with 0 nodes, and a branch whose clique reaches
@@ -70,6 +72,7 @@ import time
 from typing import NamedTuple
 
 from .bounds import _check_distances, anticode_bound
+from .fq import FamilyWindow
 from .lattice import Lattice, iter_bits, window_ids
 from .schemes import Scheme, make_scheme
 
@@ -92,8 +95,14 @@ class SearchResult(NamedTuple):
 def _build_graph(lat: Lattice, d: int, ids: list[int]):
     """(verts, adj, ball): the window in vertex order, its distance graph as
     neighbour bitsets, and the fewest window elements within distance
-    floor((d-1)/2) of any one vertex, itself included.  ids must not be empty."""
+    floor((d-1)/2) of any one vertex, itself included.  ids must not be empty.
+
+    A family window builds the rows from its atom bitsets; a Lattice takes
+    one distances() pass per vertex over the vertices after it."""
     verts = sorted(ids, key=lambda x: (lat.heights[x], x))
+    if isinstance(lat, FamilyWindow):
+        adj, near = lat.distance_rows(verts, d)
+        return verts, adj, min(near)
     m = len(verts)
     t = (d - 1) // 2
     adj = [0] * m

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output shapes, exit codes, byte stability."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -31,6 +32,7 @@ from lattice_sb import bounds as bnd
 from lattice_sb import fq
 from lattice_sb import schemes as sch
 from lattice_sb import search as srch
+from lattice_sb import cli
 from lattice_sb.cli import main
 from lattice_sb.counting import PRIME_LIMIT
 from oracles import subspace_intersect
@@ -957,6 +959,71 @@ def test_export_dot_to_file(capsys, tmp_path):
     assert path.read_text().startswith("digraph")
 
 
+# --- parser --------------------------------------------------------------------------
+
+SOURCE_OPTIONS = ["--name", "--powerset", "--projective", "-q", "-n", "--lattice"]
+COMMAND_OPTIONS = {  # after --help, --output and --max-elements, in the order -h lists them
+    "check": SOURCE_OPTIONS,
+    "bounds": ["--powerset", "--projective", "--lattice", "-q", "-n", "--n-min", "--n-max", "-d",
+               "--d-min", "--d-max", "--window"],
+    "fig5": ["-q", "-d", "--n-min", "--n-max", "--overlay"],
+    "scheme": ["action", "file", "--w", "--policy", "--seed"],
+    "search": SOURCE_OPTIONS + ["-d", "--window", "--budget-nodes", "--budget-secs"],
+    "export-dot": SOURCE_OPTIONS,
+}
+
+
+def subparsers(parser):
+    """Subcommand -> its parser, in a parser made by cli._build_parser."""
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def options(parser):
+    return [a.option_strings[-1] if a.option_strings else a.dest for a in parser._actions]
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_subcommand_help_lists_the_same_options(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    full = subparsers(cli._build_parser())[command]
+    assert capsys.readouterr().out == full.format_help()
+    assert options(full) == ["--help", "--output", "--max-elements"] + COMMAND_OPTIONS[command]
+
+
+@pytest.mark.parametrize("argv", [[c, "-h"] for c in COMMAND_OPTIONS] + [[], ["-h"], ["nope"], ["--", "check"]],
+                         ids=lambda argv: " ".join(argv) or "no-args")
+def test_only_the_named_subcommand_gets_its_options(argv):
+    # every subcommand stays registered, so the top-level help and the
+    # invalid-choice error name all six
+    parsers = subparsers(cli._build_parser(argv))
+    assert list(parsers) == list(COMMAND_OPTIONS)
+    named = argv[0] if argv and argv[0] in COMMAND_OPTIONS else None
+    for command, parser in parsers.items():
+        want = ["--help", "--output", "--max-elements"] + COMMAND_OPTIONS[command]
+        assert options(parser) == (want if named in (None, command) else []), command
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    # the console script calls main() with no argv; it must parse sys.argv
+    seen = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv=(): seen.append(list(argv)) or build(argv))
+    monkeypatch.setattr(sys, "argv", ["lattice-sb", "check", "--name", "M3"])
+    assert main() == 0
+    assert "elements: 5" in capsys.readouterr().out
+    assert seen == [["check", "--name", "M3"]]
+    with pytest.raises(SystemExit) as exc:
+        main(["nope"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nope'" in err
+    assert all(command in err for command in COMMAND_OPTIONS)
+
+
 # --- module entry --------------------------------------------------------------------
 
 
@@ -971,6 +1038,17 @@ def test_cli_import_skips_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_importtime_lists_the_modules_cli_imports():
+    # -X importtime does not time the imports made by the package's lazy
+    # __getattr__, so cli must import these three itself
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import lattice_sb.cli"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    listed = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {"lattice_sb.bounds", "lattice_sb.schemes", "lattice_sb.search", "lattice_sb.cli"} <= listed
 
 
 @pytest.mark.parametrize("command", [("check",), ("search", "-d", "1")])

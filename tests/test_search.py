@@ -163,7 +163,15 @@ def test_max_code_pinned_node_counts(run, best_size, nodes):
 
 
 WINDOW_FAMILIES = ([("powerset", n, None) for n in range(6)] + [("projective", n, 2) for n in range(5)]
-                   + [("projective", 3, 3)])
+                   + [("projective", 3, 3), ("projective", 4, 3)])
+
+
+def assert_same_graph(win, lat, d, window):
+    """The family window's atom-bitset graph is the built lattice's per-pair
+    graph."""
+    ids = window_ids(lat, window)
+    verts, adj, ball = _build_graph(win, d, window_ids(win, window))
+    assert ([ids[i] for i in verts], adj, ball) == _build_graph(lat, d, ids), (d, window)
 
 
 @pytest.mark.parametrize("family, n, q", WINDOW_FAMILIES,
@@ -171,11 +179,13 @@ WINDOW_FAMILIES = ([("powerset", n, None) for n in range(6)] + [("projective", n
 def test_max_code_on_family_window_matches_built_lattice(family, n, q):
     # the same graph in the same vertex order, so the same search, node for
     # node; local id i of the window is lattice id ids[i]
-    lat = build_powerset_lattice(n) if family == "powerset" else build_projective_lattice(n, q)
+    lat = build_powerset_lattice(n) if family == "powerset" else build_projective_lattice(n, q, 400)
     windows = [None] + list(itertools.combinations_with_replacement(range(n + 1), 2))
     for window in windows:
-        win = family_window(family, n, q, window)
+        win = family_window(family, n, q, window, 400)
         ids = window_ids(lat, window)
+        for d in range(1, 2 * n + 2):
+            assert_same_graph(win, lat, d, window)
         for d in range(1, n + 2):
             want = max_code(SearchProblem(lat, d, window, budget_nodes=20_000))
             got = max_code(SearchProblem(win, d, window, budget_nodes=20_000))
@@ -184,6 +194,12 @@ def test_max_code_on_family_window_matches_built_lattice(family, n, q):
                 greedy = greedy_code(win, d, seed, window)
                 assert [ids[i] for i in greedy.sorted_members()] == \
                     greedy_code(lat, d, seed, window).sorted_members()
+
+
+def test_planes_of_sub62_graph_matches_built_lattice():
+    # the 651 2-dim subspaces of F_2^6
+    lat = build_projective_lattice(6, 2, 3000)
+    assert_same_graph(family_window("projective", 6, 2, (2, 2), 3000), lat, 4, (2, 2))
 
 
 def networkx_clique_number(lat, d, window):
