@@ -221,10 +221,7 @@ def _build_family(win: FamilyWindow) -> Lattice:
         levels[h].append(x)
     covers = []
     for lower, upper in zip(levels, levels[1:]):
-        holding: dict[int, int] = {}  # atom -> bit i for each upper[i] above it
-        for i, b in enumerate(upper):
-            for p in iter_bits(masks[b]):
-                holding[p] = holding.get(p, 0) | 1 << i
+        holding = win._above_atoms(upper)  # atom -> bit i for each upper[i] above it
         for a in lower:
             above = (1 << len(upper)) - 1
             for p in iter_bits(masks[a]):
@@ -280,10 +277,9 @@ class FamilyWindow:
     on Sub(F_q^n).  Both lattices are geometric, so the atoms of a ^ b are
     the common atoms of a and b, and d(a, b) = h(a) + h(b) - 2 h(a ^ b)
     reads h(a ^ b) off their count: the Hamming distance on 2^[n], the
-    subspace distance on Sub(F_q^n).  make_scheme reads only names,
-    heights, height, total_height, distance, distances, family and len,
-    which a Lattice offers too; the search and greedy packing read the
-    same, except that they take the distance graph from distance_rows.
+    subspace distance on Sub(F_q^n).  make_scheme, the search and greedy
+    packing read only names, heights, height, total_height, distance,
+    distances, distance_rows, family and len, which a Lattice offers too.
     `window` is the (m, M) it holds, and window_ids refuses any other.
     """
 
@@ -315,6 +311,14 @@ class FamilyWindow:
         ha, ma = h[a], masks[a]
         return [ha + h[b] - 2 * meet[(ma & masks[b]).bit_count()] for b in others]
 
+    def _above_atoms(self, verts: Sequence[int]) -> list[int]:
+        """Atom p -> the bitset of the positions j with p below verts[j]."""
+        above = [0] * self._atoms_at[-1]
+        for j, v in enumerate(verts):
+            for p in iter_bits(self._masks[v]):
+                above[p] |= 1 << j
+        return above
+
     def distance_rows(self, verts: Sequence[int], d: int) -> tuple[list[int], list[int]]:
         """(adj, near) over the positions of verts: bit j of adj[i] is set
         where distance(verts[i], verts[j]) >= d, and near[i] counts the j
@@ -334,10 +338,7 @@ class FamilyWindow:
         m = len(verts)
         full = (1 << m) - 1
         masks, atoms_at = self._masks, self._atoms_at
-        above = [0] * atoms_at[-1]  # atom -> the positions above it
-        for j, v in enumerate(verts):
-            for p in iter_bits(masks[v]):
-                above[p] |= 1 << j
+        above = self._above_atoms(verts)  # atom -> the positions above it
         adj, near = [], []
         if self.family[0] == "powerset":
             outside = [b ^ full for b in above]  # atom -> the positions not above it

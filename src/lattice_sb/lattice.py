@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import combinations, starmap
+from operator import and_
 from typing import Iterable, Sequence
 
 DEFAULT_MAX_ELEMENTS = 128
@@ -91,16 +93,14 @@ class Lattice:
     every Lattice and checks that its order really is a lattice.
     """
 
-    def __init__(self, names, covers, pup, pdown, heights, order, family=None):
+    def __init__(self, names, covers, pup, pdown, order, family=None):
         self.names = tuple(names)
         self.covers = tuple(covers)  # Hasse-reduced (lower, upper) pairs, sorted
-        self.heights = tuple(heights)
         self._pup = tuple(pup)
         self._pdown = tuple(pdown)
         self._order = tuple(order)
         self.bottom = self._order[0]
         self.top = self._order[-1]
-        self._hpos = tuple(self.heights[x] for x in self._order)  # height by position
         self.family = family  # (family, n, q) of an fq builder, else None
         self.name_to_id = {nm: i for i, nm in enumerate(self.names)}
         lower: list[list[int]] = [[] for _ in self.names]
@@ -110,6 +110,12 @@ class Lattice:
             upper[lo].append(hi)
         self._lower_covers = tuple(tuple(v) for v in lower)
         self._upper_covers = tuple(tuple(v) for v in upper)
+        # Height: longest cover path from the bottom, which comes first in order.
+        heights = [0] * len(self.names)
+        for x in self._order[1:]:
+            heights[x] = max(heights[p] + 1 for p in lower[x])
+        self.heights = tuple(heights)
+        self._hpos = tuple(heights[x] for x in self._order)  # height by position
 
     def __len__(self) -> int:
         return len(self.names)
@@ -138,10 +144,7 @@ class Lattice:
 
     def distance(self, a: int, b: int) -> int:
         """Height-induced distance h(a v b) - h(a ^ b)."""
-        hp = self._hpos
-        ub = self._pup[a] & self._pup[b]
-        lb = self._pdown[a] & self._pdown[b]
-        return hp[(ub & -ub).bit_length() - 1] - hp[lb.bit_length() - 1]
+        return self.distances(a, (b,))[0]
 
     def distances(self, a: int, others: Iterable[int]) -> list[int]:
         """[distance(a, b) for b in others], in one loop over the masks."""
@@ -149,6 +152,24 @@ class Lattice:
         ua, da = pup[a], pdown[a]
         return [hp[((ub := ua & pup[b]) & -ub).bit_length() - 1] - hp[(da & pdown[b]).bit_length() - 1]
                 for b in others]
+
+    def distance_rows(self, verts: Sequence[int], d: int) -> tuple[list[int], list[int]]:
+        """(adj, near) over the positions of verts: bit j of adj[i] is set
+        where distance(verts[i], verts[j]) >= d, and near[i] counts the j
+        within distance floor((d-1)/2) of verts[i], i itself included.
+
+        One distances() pass per vertex over the vertices after it."""
+        m, t = len(verts), (d - 1) // 2
+        adj, near = [0] * m, [1] * m
+        for i in range(m):
+            for j, dist in enumerate(self.distances(verts[i], verts[i + 1:]), i + 1):
+                if dist >= d:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+                elif dist <= t:
+                    near[i] += 1
+                    near[j] += 1
+        return adj, near
 
     def atoms(self) -> list[int]:
         """Elements of height 1 (equivalently: covers of the bottom)."""
@@ -190,19 +211,15 @@ class Lattice:
         join two levels up (upper), or any two lower covers of an element have
         their meet two levels down.  The former is upper semimodularity: a, b
         covering a ^ b implies a v b covers a and b; the latter its dual."""
-        hp, h = self._hpos, self.heights
-        if upper:
-            masks, covers, step = self._pup, self._upper_covers, 2
-        else:
-            masks, covers, step = self._pdown, self._lower_covers, -2
-        for x, cov in enumerate(covers):
+        hp, h, step = self._hpos, self.heights, (2 if upper else -2)
+        masks, covers = (self._pup, self._upper_covers) if upper else (self._pdown, self._lower_covers)
+        for x, common in _cover_pairs(masks, covers):
             want = h[x] + step
-            ms = [masks[c] for c in cov]
-            for i, ma in enumerate(ms):
-                for mb in ms[i + 1:]:
-                    ab = ma & mb
-                    if hp[((ab & -ab) if upper else ab).bit_length() - 1] != want:
-                        return False
+            if upper:  # keep the lowest position, the join; a meet is the highest
+                common = [ub & -ub for ub in common]
+            for ab in common:
+                if hp[ab.bit_length() - 1] != want:
+                    return False
         return True
 
     @cached_property
@@ -259,6 +276,16 @@ class Lattice:
         if any(len(lower) == 1 and lower != bottom for lower in self._lower_covers):
             return False
         return self._upper_semimodular
+
+
+def _cover_pairs(masks, covers):
+    """(x, an iterator of masks[a] & masks[b] over the pairs a, b of covers
+    of x) for each element x with two covers or more, by id; covers and
+    masks both go up (upper covers, up-sets) or both down.  The pairs are
+    made and ANDed in C, one at a time."""
+    for x, cov in enumerate(covers):
+        if len(cov) > 1:
+            yield x, starmap(and_, combinations([masks[c] for c in cov], 2))
 
 
 def _not_a_lattice(names, order, pup, pdown) -> NotALatticeError:
@@ -357,16 +384,7 @@ def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Latt
 
     # True covers: no third element strictly between.
     hasse = tuple((lo, hi) for lo, hi in edges if (pup[lo] & pdown[hi]).bit_count() == 2)
-    lower: list[list[int]] = [[] for _ in range(n)]
-    for lo, hi in hasse:
-        lower[hi].append(lo)
-
-    # Height: longest cover path from the bottom, which comes first in order.
-    heights = [0] * n
-    for x in order[1:]:
-        heights[x] = max(heights[p] + 1 for p in lower[x])
-
-    lat = Lattice(names, hasse, pup, pdown, heights, order)
+    lat = Lattice(names, hasse, pup, pdown, order)
     # The cover-pair pass.  A least upper bound of a and b comes first among
     # their common upper bounds in any linear extension, so the join candidate
     # is the lowest bit of the common position up-set; it is the join iff its
@@ -382,13 +400,10 @@ def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Latt
     # e, so e = u v v.  With a bottom, every pair then has a meet too: the
     # join of its common lower bounds.
     at = [pup[x] for x in order]  # up-set by position
-    for cov in lat._upper_covers:
-        ms = [pup[c] for c in cov]
-        for i, ma in enumerate(ms):
-            for mb in ms[i + 1:]:
-                ub = ma & mb
-                if at[(ub & -ub).bit_length() - 1] != ub:
-                    raise _not_a_lattice(names, order, pup, pdown)
+    for _, common in _cover_pairs(pup, lat._upper_covers):
+        for ub in common:
+            if at[(ub & -ub).bit_length() - 1] != ub:
+                raise _not_a_lattice(names, order, pup, pdown)
     return lat
 
 
@@ -401,7 +416,7 @@ def with_names(lat: Lattice, names: Sequence[str]) -> Lattice:
     """
     if len(names) != len(lat) or len(set(names)) != len(lat):
         raise LatticeError(f"need {len(lat)} distinct names, got {len(set(names))} of {len(names)}")
-    return Lattice(names, lat.covers, lat._pup, lat._pdown, lat.heights, lat._order, lat.family)
+    return Lattice(names, lat.covers, lat._pup, lat._pdown, lat._order, lat.family)
 
 
 def sublattice_closure(lat: Lattice, seed: Iterable[int]) -> Lattice:
@@ -515,7 +530,7 @@ def from_json(text: str, max_elements: int | None = None) -> Lattice:
     if not isinstance(covers, list):
         raise LatticeError('"covers" must be a list of [lower, upper] pairs')
     for c in covers:
-        if not (isinstance(c, list) and len(c) == 2 and all(isinstance(v, int) for v in c)):
+        if not (isinstance(c, list) and len(c) == 2 and all(type(v) is int for v in c)):
             raise LatticeError(f"bad cover entry: {c!r}")
     return build_lattice(elements, covers)
 

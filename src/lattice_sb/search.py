@@ -24,15 +24,17 @@ Sub(F_2^5), d=2, window (1,2) the whole-window greedy takes the 31 points,
 which block every line, while the line level alone gives all 155 lines,
 the optimum.  A higher start only prunes more, so it never adds nodes.
 
-The search reads its lattice only through heights, total_height, distance,
-distances, family and len, and asks is_modular() only where family is None.
-fq.FamilyWindow offers the same for a window of 2^[n] or Sub(F_q^n), built
-from the mask of the atoms below each element; the command line searches
-those families on it instead of building the lattice.  A family window
-holds one window's elements, so window_ids refuses to search it with
-another.  It also builds its own distance graph (FamilyWindow.distance_rows):
-bit-sliced counters of common atoms give a vertex's whole row in a few
-big-int operations, where a Lattice takes one distances() pass per vertex.
+The search reads its lattice only through heights, total_height,
+distance_rows, family and len, asks is_modular() only where family is None,
+and checks its result with make_scheme, which also reads distance and
+distances.  fq.FamilyWindow offers the same for a window of 2^[n] or
+Sub(F_q^n), built from the mask of the atoms below each element; the
+command line searches those families on it instead of building the
+lattice.  A family window holds one window's elements, so window_ids
+refuses to search it with another.  Each builds the distance graph in
+distance_rows its own way: a Lattice takes one distances() pass per
+vertex, a family window adds up bit-sliced counters of common atoms, which
+give a vertex's whole row in a few big-int operations.
 
 The search stops at a cap, an upper bound on the clique size, taken as the
 smaller of two bounds where either holds.  On a lattice made by a family
@@ -72,7 +74,6 @@ import time
 from typing import NamedTuple
 
 from .bounds import _check_distances, anticode_bound
-from .fq import FamilyWindow
 from .lattice import Lattice, iter_bits, window_ids
 from .schemes import Scheme, make_scheme
 
@@ -97,24 +98,10 @@ def _build_graph(lat: Lattice, d: int, ids: list[int]):
     neighbour bitsets, and the fewest window elements within distance
     floor((d-1)/2) of any one vertex, itself included.  ids must not be empty.
 
-    A family window builds the rows from its atom bitsets; a Lattice takes
-    one distances() pass per vertex over the vertices after it."""
+    The rows come from lat.distance_rows: per-pair distances on a Lattice,
+    atom bitsets on a family window."""
     verts = sorted(ids, key=lambda x: (lat.heights[x], x))
-    if isinstance(lat, FamilyWindow):
-        adj, near = lat.distance_rows(verts, d)
-        return verts, adj, min(near)
-    m = len(verts)
-    t = (d - 1) // 2
-    adj = [0] * m
-    near = [1] * m
-    for i in range(m):
-        for j, dist in enumerate(lat.distances(verts[i], verts[i + 1:]), i + 1):
-            if dist >= d:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            elif dist <= t:
-                near[i] += 1
-                near[j] += 1
+    adj, near = lat.distance_rows(verts, d)
     return verts, adj, min(near)
 
 

@@ -118,6 +118,15 @@ def test_check_bad_json(capsys, tmp_path):
     assert code == 2
 
 
+def test_check_refuses_boolean_cover_ids(capsys, tmp_path):
+    # JSON true and false are Python bools, which isinstance(v, int) lets through
+    path = tmp_path / "bools.json"
+    path.write_text('{"elements": ["a", "b"], "covers": [[false, true]]}')
+    code, out, err = run(capsys, "check", "--lattice", str(path))
+    assert code == 2 and out == ""
+    assert "bad cover entry: [False, True]" in err
+
+
 def test_check_missing_file(capsys):
     code, _, err = run(capsys, "check", "--lattice", "/nonexistent/x.json")
     assert code == 2

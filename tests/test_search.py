@@ -1,6 +1,7 @@
 """Branch-and-bound maximum-scheme search, greedy packing, and the
 constant-dimension bound against the search optimum."""
 
+import functools
 import itertools
 import random
 
@@ -200,6 +201,31 @@ def test_planes_of_sub62_graph_matches_built_lattice():
     # the 651 2-dim subspaces of F_2^6
     lat = build_projective_lattice(6, 2, 3000)
     assert_same_graph(family_window("projective", 6, 2, (2, 2), 3000), lat, 4, (2, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def built_family(family, n, q):
+    return build_powerset_lattice(n) if family == "powerset" else build_projective_lattice(n, q, 400)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.tuples(st.just("powerset"), st.integers(0, 7), st.none()),
+                 st.tuples(st.just("projective"), st.integers(0, 5), st.just(2)),
+                 st.tuples(st.just("projective"), st.integers(0, 3), st.just(3))),
+       st.data())
+def test_distance_rows_of_family_window_match_built_lattice(case, data):
+    """FamilyWindow.distance_rows equals Lattice.distance_rows of the built
+    lattice on any window, d and list of window elements, in any order."""
+    family, n, q = case
+    lo = data.draw(st.integers(0, n))
+    window = data.draw(st.none() | st.tuples(st.just(lo), st.integers(lo, n)))
+    d = data.draw(st.integers(1, 2 * n + 1))
+    win = family_window(family, n, q, window, 400)
+    lat = built_family(family, n, q)
+    ids = window_ids(lat, window)  # local id i of the window is lattice id ids[i]
+    rng = data.draw(st.randoms(use_true_random=False))
+    verts = rng.sample(range(len(win)), rng.randint(1, len(win)))
+    assert win.distance_rows(verts, d) == lat.distance_rows([ids[i] for i in verts], d)
 
 
 def networkx_clique_number(lat, d, window):
