@@ -118,8 +118,10 @@ def _range_values(single: int | None, lo: int | None, hi: int | None, flag: str)
         if lo is not None or hi is not None:
             raise lt.LatticeError(f"give either -{flag} or a --{flag}-min/--{flag}-max range")
         return [single]
-    if lo is None or hi is None or hi < lo:
+    if lo is None or hi is None:
         raise lt.LatticeError(f"need -{flag} or a valid --{flag}-min/--{flag}-max range")
+    if hi < lo:
+        raise lt.LatticeError(f"--{flag}-min {lo} is above --{flag}-max {hi}")
     return list(range(lo, hi + 1))
 
 

@@ -8,9 +8,12 @@ lattices (M3, N5, L1, L2).
 
 Both family lattices are geometric, and each element of them is read as the
 mask of the atoms below it: a subset of {1..n} is itself, a subspace of
-F_q^n is the mask of its points (1-spaces), [n]_q bits at most.  One cover
-rule (fq._build_family) and one height distance (FamilyWindow) read those
-masks for both families.
+F_q^n is the mask of its points (1-spaces), [n]_q bits at most.  An element
+of height k has [k]_q atoms (k on 2^[n], [k]_q read at q = 1), and the atoms
+of a ^ b are the common atoms of a and b.  So one cover rule
+(fq._build_family) and one height distance and distance graph
+(FamilyWindow) read those masks for both families; the family is decided
+only where family_window enumerates the elements.
 """
 
 from __future__ import annotations
@@ -277,9 +280,11 @@ class FamilyWindow:
     on Sub(F_q^n).  Both lattices are geometric, so the atoms of a ^ b are
     the common atoms of a and b, and d(a, b) = h(a) + h(b) - 2 h(a ^ b)
     reads h(a ^ b) off their count: the Hamming distance on 2^[n], the
-    subspace distance on Sub(F_q^n).  make_scheme, the search and greedy
-    packing read only names, heights, height, total_height, distance,
-    distances, distance_rows, family and len, which a Lattice offers too.
+    subspace distance on Sub(F_q^n).  No method asks which family it holds:
+    family_window decides that when it lists the elements.  make_scheme,
+    the search and greedy packing read only names, heights, height,
+    total_height, distance, distances, distance_rows, family and len, which
+    a Lattice offers too.
     `window` is the (m, M) it holds, and window_ids refuses any other.
     """
 
@@ -326,28 +331,15 @@ class FamilyWindow:
 
         One bitset per atom holds the positions of the elements above it.
         Added up as bit-sliced counters, the bitsets of the atoms of a give
-        |atoms(a) & atoms(b)| at every position b at once.  On Sub(F_q^n) a
-        common-atom count [k]_q means h(a ^ b) = k, so one comparison of the
-        counters per height of the window and per threshold gives a's row
-        and its ball.  On 2^[n] the bitsets of the atoms outside a and the
-        complements of those in a add up to the size of the symmetric
-        difference of a and b, the distance itself, so two comparisons serve
-        every height.
+        |atoms(a) & atoms(b)| at every position b at once.  An element of
+        height k has [k]_q atoms (k on 2^[n]), so a common-atom count of
+        [k]_q means h(a ^ b) = k, and one comparison of the counters per
+        height of the window and per threshold gives a's row and its ball.
         """
         t = (d - 1) // 2
-        m = len(verts)
-        full = (1 << m) - 1
         masks, atoms_at = self._masks, self._atoms_at
         above = self._above_atoms(verts)  # atom -> the positions above it
         adj, near = [], []
-        if self.family[0] == "powerset":
-            outside = [b ^ full for b in above]  # atom -> the positions not above it
-            for v in verts:
-                s = masks[v]
-                counts = _bit_sliced_sum([outside[p] if s >> p & 1 else b for p, b in enumerate(above)])
-                adj.append(_at_least(counts, d))
-                near.append(m - _at_least(counts, t + 1).bit_count())
-            return adj, near
         levels: dict[int, int] = {}  # height -> its positions
         for j, v in enumerate(verts):
             h = self.heights[v]
@@ -423,10 +415,8 @@ def family_window(family: str, n: int, q: int | None, window: tuple[int, int] | 
         masks = [s for s in range(1 << n) if lo <= s.bit_count() <= hi]
         names, heights = [_subset_name(s) for s in masks], [s.bit_count() for s in masks]
     else:
-        # the masks need every dimension up to hi, a prefix of the id order;
-        # the whole lattice reads (and caches) the index subspace_id reads
-        subs = _projective_index(n, q)[0] if hi == n else \
-            [s for k in range(hi + 1) for s in enumerate_grassmannian(n, k, q)]
+        # the masks need every dimension up to hi, a prefix of the id order
+        subs = [s for k in range(hi + 1) for s in enumerate_grassmannian(n, k, q)]
         kept = [(s, mask) for s, mask in zip(subs, _point_masks(subs)) if s.dim >= lo]
         masks = [mask for _, mask in kept]
         names, heights = [subspace_name(s) for s, _ in kept], [s.dim for s, _ in kept]

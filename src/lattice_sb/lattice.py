@@ -8,7 +8,8 @@ bounds in that order, the meet the last of their common lower bounds.  No
 n x n table is stored.  build_lattice checks that every two upper covers of
 a common element have a join, which with a bottom and a top makes the poset
 a lattice, so a Lattice is only ever returned for inputs that really are
-lattices.  Instances are immutable after construction (the modularity and
+lattices.  Instances are immutable once returned (the fq family builders set
+`family` on the lattice they build before they return it; the modularity and
 upper semimodularity verdicts are decided once and kept) and safe to share
 between threads.
 
@@ -83,8 +84,9 @@ def iter_bits(mask: int):
 
 
 class Lattice:
-    """Immutable finite lattice, held as up/down bitmasks over the positions
-    of a topological order; join, meet and distance are computed on demand.
+    """Finite lattice, immutable once returned, held as up/down bitmasks over
+    the positions of a topological order; join, meet and distance are
+    computed on demand.
 
     `order` lists the element ids in that order (position -> id), and
     `pup[x]`, `pdown[x]` are the positions of the elements above and below

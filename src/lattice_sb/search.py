@@ -34,7 +34,9 @@ lattice.  A family window holds one window's elements, so window_ids
 refuses to search it with another.  Each builds the distance graph in
 distance_rows its own way: a Lattice takes one distances() pass per
 vertex, a family window adds up bit-sliced counters of common atoms, which
-give a vertex's whole row in a few big-int operations.
+give a vertex's whole row in a few big-int operations, by one rule for both
+families: an element of height k has [k]_q atoms (k on 2^[n]), so a
+common-atom count gives the height of the meet.
 
 The search stops at a cap, an upper bound on the clique size, taken as the
 smaller of two bounds where either holds.  On a lattice made by a family

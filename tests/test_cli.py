@@ -537,7 +537,17 @@ def test_fig5_skips_rows_that_do_not_fit_n(capsys):
 def test_fig5_rejects_inverted_range(capsys):
     code, out, err = run(capsys, "fig5", "--n-min", "5", "--n-max", "4")
     assert code == 2 and out == ""
-    assert err == "error: need -n or a valid --n-min/--n-max range\n"
+    assert err == "error: --n-min 5 is above --n-max 4\n"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("--n-min", "3", "--n-max", "2", "-d", "2"), "--n-min 3 is above --n-max 2"),
+    (("-n", "3", "--d-min", "3", "--d-max", "2"), "--d-min 3 is above --d-max 2"),
+    (("--n-min", "3", "-d", "2"), "need -n or a valid --n-min/--n-max range"),
+    (("-n", "3", "--d-max", "2"), "need -d or a valid --d-min/--d-max range"),
+])
+def test_bounds_range_errors_name_the_fault(capsys, argv, error):
+    assert run(capsys, "bounds", "--powerset", *argv) == (2, "", f"error: {error}\n")
 
 
 def test_fig5_writes_no_file_without_output(capsys, tmp_path, monkeypatch):

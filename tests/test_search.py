@@ -197,15 +197,23 @@ def test_max_code_on_family_window_matches_built_lattice(family, n, q):
                     greedy_code(lat, d, seed, window).sorted_members()
 
 
-def test_planes_of_sub62_graph_matches_built_lattice():
-    # the 651 2-dim subspaces of F_2^6
-    lat = build_projective_lattice(6, 2, 3000)
-    assert_same_graph(family_window("projective", 6, 2, (2, 2), 3000), lat, 4, (2, 2))
-
-
 @functools.lru_cache(maxsize=None)
-def built_family(family, n, q):
-    return build_powerset_lattice(n) if family == "powerset" else build_projective_lattice(n, q, 400)
+def built_family(family, n, q, max_elements=400):
+    if family == "powerset":
+        return build_powerset_lattice(n, max_elements)
+    return build_projective_lattice(n, q, max_elements)
+
+
+LARGE_GRAPHS = [("projective", 6, 2, (2, 2), 4),  # the 651 2-dim subspaces of F_2^6
+                *[("powerset", 8, None, None, d) for d in range(1, 18)],  # the benchmark searches d = 4
+                ("powerset", 7, None, None, 3)]  # the benchmark searches it as relabelled JSON
+
+
+@pytest.mark.parametrize("family, n, q, window, d", LARGE_GRAPHS,
+                         ids=[f"{f[:3]}{n}{q or ''}-d{d}" for f, n, q, _, d in LARGE_GRAPHS])
+def test_large_family_graph_matches_built_lattice(family, n, q, window, d):
+    lat = built_family(family, n, q, 3000)
+    assert_same_graph(family_window(family, n, q, window, 3000), lat, d, window)
 
 
 @settings(max_examples=80, deadline=None)
