@@ -11,7 +11,7 @@ mask of the atoms below it: a subset of {1..n} is itself, a subspace of
 F_q^n is the mask of its points (1-spaces), [n]_q bits at most.  An element
 of height k has [k]_q atoms (k on 2^[n], [k]_q read at q = 1), and the atoms
 of a ^ b are the common atoms of a and b.  So one cover rule
-(fq._build_family) and one height distance and distance graph
+(fq._family_covers) and one height distance and distance graph
 (FamilyWindow) read those masks for both families; the family is decided
 only where family_window enumerates the elements.
 """
@@ -211,7 +211,16 @@ def build_projective_lattice(n: int, q: int, max_elements: int | None = None) ->
 
 
 def _build_family(win: FamilyWindow) -> Lattice:
-    """The lattice of a family window that holds every height.
+    """The lattice of a family window that holds every height, built from
+    the cover pairs of _family_covers as they are made."""
+    lat = build_lattice(win.names, _family_covers(win))
+    lat.family = win.family
+    return lat
+
+
+def _family_covers(win: FamilyWindow) -> Iterator[tuple[int, int]]:
+    """The cover pairs of a family window that holds every height, one at a
+    time.
 
     The elements that cover a are those one height up that hold every atom
     of a, as both families are atomistic: one AND of a bitset per atom of a,
@@ -222,17 +231,14 @@ def _build_family(win: FamilyWindow) -> Lattice:
     levels: list[list[int]] = [[] for _ in range(win.total_height() + 1)]
     for x, h in enumerate(win.heights):
         levels[h].append(x)
-    covers = []
     for lower, upper in zip(levels, levels[1:]):
         holding = win._above_atoms(upper)  # atom -> bit i for each upper[i] above it
         for a in lower:
             above = (1 << len(upper)) - 1
             for p in iter_bits(masks[a]):
                 above &= holding[p]
-            covers += [(a, upper[i]) for i in iter_bits(above)]
-    lat = build_lattice(win.names, covers)
-    lat.family = win.family
-    return lat
+            for i in iter_bits(above):
+                yield a, upper[i]
 
 
 def _point_masks(subs: Sequence[Subspace]) -> list[int]:
@@ -333,33 +339,42 @@ class FamilyWindow:
         Added up as bit-sliced counters, the bitsets of the atoms of a give
         |atoms(a) & atoms(b)| at every position b at once.  An element of
         height k has [k]_q atoms (k on 2^[n]), so a common-atom count of
-        [k]_q means h(a ^ b) = k, and one comparison of the counters per
-        height of the window and per threshold gives a's row and its ball.
+        [k]_q means h(a ^ b) = k, and a threshold on the counters per height
+        of the window gives a's row and its ball.  The thresholds depend on
+        h(a) alone, so they are worked out once per height, and the heights
+        that share a threshold share one comparison of the counters.
         """
         t = (d - 1) // 2
-        masks, atoms_at = self._masks, self._atoms_at
+        masks, atoms_at, heights = self._masks, self._atoms_at, self.heights
         above = self._above_atoms(verts)  # atom -> the positions above it
-        adj, near = [], []
         levels: dict[int, int] = {}  # height -> its positions
         for j, v in enumerate(verts):
-            h = self.heights[v]
-            levels[h] = levels.get(h, 0) | 1 << j
-        for v in verts:
-            counts = _bit_sliced_sum([above[p] for p in iter_bits(masks[v])])
-            ha = self.heights[v]
+            levels[heights[v]] = levels.get(heights[v], 0) | 1 << j
+        rules = {}  # h(a) -> (row and ball from whole heights, [(threshold, row part, ball part)])
+        for ha in levels:
             row = ball = 0
+            parts: dict[int, list[int]] = {}  # threshold -> [row part, ball part]
             for h, level in levels.items():
                 top = min(ha, h)  # the highest meet
                 k = (ha + h - d) // 2  # the highest meet at distance >= d
                 if k >= top:
                     row |= level
-                elif k >= 0:
-                    row |= level & ~_at_least(counts, atoms_at[k] + 1)
+                elif k >= 0:  # in the row where fewer than [k+1]_q atoms are common
+                    parts.setdefault(atoms_at[k] + 1, [0, 0])[0] |= level
                 k = (ha + h - t + 1) // 2  # the lowest meet within distance t
                 if k <= 0:
                     ball += level.bit_count()
-                elif k <= top:
-                    ball += (level & _at_least(counts, atoms_at[k])).bit_count()
+                elif k <= top:  # in the ball where at least [k]_q atoms are common
+                    parts.setdefault(atoms_at[k], [0, 0])[1] |= level
+            rules[ha] = row, ball, [(c, r, b) for c, (r, b) in parts.items()]
+        adj, near = [], []
+        for v in verts:
+            counts = _bit_sliced_sum([above[p] for p in iter_bits(masks[v])])
+            row, ball, parts = rules[heights[v]]
+            for c, row_part, ball_part in parts:
+                common = _at_least(counts, c)
+                row |= row_part & ~common
+                ball += (ball_part & common).bit_count()
             adj.append(row)
             near.append(ball)
         return adj, near

@@ -2,15 +2,17 @@
 
 Elements are dense integer ids 0..n-1 with display names.  The order is kept
 in one form: per element, the bitmask of its up-set and of its down-set over
-the positions of a topological order.  Join and meet are computed on demand
-from these masks: the join of a and b is the first of their common upper
-bounds in that order, the meet the last of their common lower bounds.  No
-n x n table is stored.  build_lattice checks that every two upper covers of
-a common element have a join, which with a bottom and a top makes the poset
-a lattice, so a Lattice is only ever returned for inputs that really are
-lattices.  Instances are immutable once returned (the fq family builders set
-`family` on the lattice they build before they return it; the modularity and
-upper semimodularity verdicts are decided once and kept) and safe to share
+the positions of a topological order.  The cover relation is held once, as
+the lower covers of each element; the sorted cover pairs are made only when
+asked for.  Join and meet are computed on demand from these masks: the join
+of a and b is the first of their common upper bounds in that order, the meet
+the last of their common lower bounds.  No n x n table is stored.
+build_lattice checks that every two upper covers of a common element have a
+join, which with a bottom and a top makes the poset a lattice, so a Lattice
+is only ever returned for inputs that really are lattices.  Instances are
+immutable once returned (the fq family builders set `family` on the lattice
+they build before they return it; the modularity and upper semimodularity
+verdicts and the cover pairs are made once and kept) and safe to share
 between threads.
 
 A lattice made by a family builder of the fq module records that family in
@@ -91,13 +93,17 @@ class Lattice:
     `order` lists the element ids in that order (position -> id), and
     `pup[x]`, `pdown[x]` are the positions of the elements above and below
     x, x included, so x's own position is the top bit of its down mask.  The
-    order starts at the bottom and ends at the top.  build_lattice makes
-    every Lattice and checks that its order really is a lattice.
+    order starts at the bottom and ends at the top.  The cover relation is
+    held once, per element: `_lower_covers[x]` lists the elements x covers,
+    ascending; the upper covers and the heights are derived from it, and
+    `covers`, the sorted (lower, upper) pairs, is made on first use.
+    build_lattice makes every Lattice and checks that its order really is a
+    lattice.
     """
 
-    def __init__(self, names, covers, pup, pdown, order, family=None):
+    def __init__(self, names, lower_covers, pup, pdown, order, family=None):
         self.names = tuple(names)
-        self.covers = tuple(covers)  # Hasse-reduced (lower, upper) pairs, sorted
+        self._lower_covers = tuple(lower_covers)
         self._pup = tuple(pup)
         self._pdown = tuple(pdown)
         self._order = tuple(order)
@@ -105,19 +111,22 @@ class Lattice:
         self.top = self._order[-1]
         self.family = family  # (family, n, q) of an fq builder, else None
         self.name_to_id = {nm: i for i, nm in enumerate(self.names)}
-        lower: list[list[int]] = [[] for _ in self.names]
         upper: list[list[int]] = [[] for _ in self.names]
-        for lo, hi in self.covers:
-            lower[hi].append(lo)
-            upper[lo].append(hi)
-        self._lower_covers = tuple(tuple(v) for v in lower)
-        self._upper_covers = tuple(tuple(v) for v in upper)
+        for hi, lower in enumerate(self._lower_covers):
+            for lo in lower:
+                upper[lo].append(hi)
+        self._upper_covers = tuple(map(tuple, upper))
         # Height: longest cover path from the bottom, which comes first in order.
         heights = [0] * len(self.names)
         for x in self._order[1:]:
-            heights[x] = max(heights[p] + 1 for p in lower[x])
+            heights[x] = max(heights[p] for p in self._lower_covers[x]) + 1
         self.heights = tuple(heights)
         self._hpos = tuple(heights[x] for x in self._order)  # height by position
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """The Hasse-reduced (lower, upper) pairs, sorted; made when asked for."""
+        return tuple((lo, hi) for lo, upper in enumerate(self._upper_covers) for hi in upper)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -206,7 +215,7 @@ class Lattice:
         shorter than the longest one to hi.
         """
         h = self.heights
-        return all(h[hi] == h[lo] + 1 for lo, hi in self.covers)
+        return all(h[lo] == hx - 1 for hx, lower in zip(h, self._lower_covers) for lo in lower)
 
     def _covering_condition(self, upper: bool) -> bool:
         """On a graded lattice: any two upper covers of an element have their
@@ -311,14 +320,22 @@ def _not_a_lattice(names, order, pup, pdown) -> NotALatticeError:
 def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Lattice:
     """Build and validate a lattice from element names and cover pairs.
 
+    The pairs are read once, into the predecessors and successors of each
+    element; the Lattice holds the cover relation once, as the Hasse lower
+    covers of each element, and makes its sorted `covers` pairs only when
+    asked for them.
+
     Args:
         names: display names, one per element; ids follow this order.
-        covers: (lower, upper) id pairs.  Transitive edges are tolerated and
-            reduced to the true Hasse diagram.
+        covers: (lower, upper) id pairs, each a list or tuple of two ints.
+            Repeated and transitive pairs are tolerated and reduced to the
+            true Hasse diagram.
 
     Raises:
-        LatticeError: cyclic covers, duplicate names, or multiple
-            minimal/maximal elements.
+        LatticeError: a cover entry that is not a list or tuple of two
+            ints, a cover out of range or relating an element to itself;
+            cyclic covers, duplicate names, or multiple minimal/maximal
+            elements.
         NotALatticeError: some pair has no unique least upper bound or
             greatest lower bound (the offending pair is named).
     """
@@ -329,19 +346,16 @@ def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Latt
     if len(set(names)) != n:
         raise LatticeError("duplicate element names")
 
-    edges = set()
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
     for pair in covers:
-        lo, hi = int(pair[0]), int(pair[1])
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(type(v) is int for v in pair)):
+            raise LatticeError(f"bad cover entry: {pair!r}")
+        lo, hi = pair
         if not (0 <= lo < n and 0 <= hi < n):
             raise LatticeError(f"cover ({lo}, {hi}) out of range")
         if lo == hi:
             raise LatticeError(f"cover ({lo}, {hi}) relates an element to itself")
-        edges.add((lo, hi))
-    edges = sorted(edges)
-
-    succ: list[list[int]] = [[] for _ in range(n)]
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for lo, hi in edges:
         succ[lo].append(hi)
         pred[hi].append(lo)
 
@@ -373,6 +387,7 @@ def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Latt
         for y in succ[x]:
             m |= pup[y]
         pup[x] = m
+    del succ  # freed before the reduced covers are made
 
     # A minimal element has only itself below it, a maximal one above it.
     bottoms = [x for x in range(n) if pdown[x] & (pdown[x] - 1) == 0]
@@ -384,9 +399,11 @@ def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Latt
         listed = ", ".join(repr(names[x]) for x in tops)
         raise LatticeError(f"multiple maximal elements: {listed}")
 
-    # True covers: no third element strictly between.
-    hasse = tuple((lo, hi) for lo, hi in edges if (pup[lo] & pdown[hi]).bit_count() == 2)
-    lat = Lattice(names, hasse, pup, pdown, order)
+    # True covers: no third element strictly between; a repeated pair counts once.
+    for x, lower in enumerate(pred):
+        down = pdown[x]
+        pred[x] = tuple(sorted({p for p in lower if (pup[p] & down).bit_count() == 2}))
+    lat = Lattice(names, pred, pup, pdown, order)
     # The cover-pair pass.  A least upper bound of a and b comes first among
     # their common upper bounds in any linear extension, so the join candidate
     # is the lowest bit of the common position up-set; it is the join iff its
@@ -418,7 +435,7 @@ def with_names(lat: Lattice, names: Sequence[str]) -> Lattice:
     """
     if len(names) != len(lat) or len(set(names)) != len(lat):
         raise LatticeError(f"need {len(lat)} distinct names, got {len(set(names))} of {len(names)}")
-    return Lattice(names, lat.covers, lat._pup, lat._pdown, lat._order, lat.family)
+    return Lattice(names, lat._lower_covers, lat._pup, lat._pdown, lat._order, lat.family)
 
 
 def sublattice_closure(lat: Lattice, seed: Iterable[int]) -> Lattice:
@@ -531,9 +548,6 @@ def from_json(text: str, max_elements: int | None = None) -> Lattice:
         check_cap(len(elements), "lattice JSON", max_elements)
     if not isinstance(covers, list):
         raise LatticeError('"covers" must be a list of [lower, upper] pairs')
-    for c in covers:
-        if not (isinstance(c, list) and len(c) == 2 and all(type(v) is int for v in c)):
-            raise LatticeError(f"bad cover entry: {c!r}")
     return build_lattice(elements, covers)
 
 

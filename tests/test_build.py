@@ -4,18 +4,22 @@ per-pair scan, on relabelled and non-lattice inputs too."""
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lattice_sb import (
+    NAMED_LATTICES,
     NotALatticeError,
     all_subspaces,
     build_lattice,
+    build_named_lattice,
     build_powerset_lattice,
     build_projective_lattice,
     sublattice_closure,
     subspace_to_text,
+    with_names,
 )
 from lattice_sb.fq import subspace_id, subspace_name
 from lattice_sb.lattice import iter_bits
@@ -208,3 +212,52 @@ def test_build_lattice_tables_follow_relabelling(lat, rng):
 
 def named_covers(lat):
     return {(lat.names[lo], lat.names[hi]) for lo, hi in lat.covers}
+
+
+# --- the cover relation, held once --------------------------------------------------
+
+STOCK = [*(build_named_lattice(nm) for nm in NAMED_LATTICES), build_powerset_lattice(0),
+         build_powerset_lattice(4), build_projective_lattice(3, 2), SUB24, SUB33]
+
+
+def assert_same_order(new, lat):
+    assert new.covers == lat.covers
+    assert new._lower_covers == lat._lower_covers
+    assert new._upper_covers == lat._upper_covers
+    assert new.heights == lat.heights
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(lattices, st.sampled_from(STOCK)), st.randoms(use_true_random=False), st.data())
+def test_repeated_and_transitive_pairs_build_the_same_lattice(lat, rng, data):
+    """Covers given again, and pairs a < b that are not covers, in any order,
+    leave the reduced covers, both per-element stores and the heights as the
+    clean build has them; with_names keeps them."""
+    n = len(lat)
+    below = [(a, b) for a in range(n) for b in range(n) if a != b and lat.leq(a, b)]
+    extra = data.draw(st.lists(st.sampled_from(below), max_size=2 * n)) if below else []
+    pairs = list(lat.covers) * data.draw(st.integers(1, 3)) + extra
+    rng.shuffle(pairs)
+    new = build_lattice(lat.names, pairs)
+    assert_same_order(new, lat)
+    renamed = with_names(new, [f"e{x}" for x in range(n)])
+    assert_same_order(renamed, lat)
+    assert renamed._lower_covers is new._lower_covers
+
+
+def traced_peak(build, *args):
+    build(*args)  # fill the caches the first call fills
+    tracemalloc.start()
+    try:
+        build(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("build, args, bound_kb", [(build_projective_lattice, (5, 2, 400), 640),
+                                                   (build_powerset_lattice, (10, 2000), 1300)])
+def test_family_build_traced_peak_is_bounded(build, args, bound_kb):
+    # the cover relation is held once, per element: no list, set or sorted
+    # list of all the cover pairs is made on the way
+    assert traced_peak(build, *args) < bound_kb * 1024

@@ -55,6 +55,24 @@ def test_bad_cover_indices_rejected():
         build_lattice(["a", "b"], [(1, 1)])
 
 
+@pytest.mark.parametrize("entry", [(0, 1.9), (False, True), ("0", "1"), (0, 1, 5), (0,), 1, None, {0, 1}],
+                         ids=["float", "bools", "strings", "triple", "single", "int", "none", "set"])
+def test_cover_entry_that_is_not_two_ints_rejected(entry):
+    # each of the first four was once truncated to the cover (0, 1)
+    with pytest.raises(LatticeError) as exc:
+        build_lattice(["a", "b"], [entry])
+    assert str(exc.value) == f"bad cover entry: {entry!r}"
+
+
+@pytest.mark.parametrize("entry", ["[0, 1.5]", "[false, true]", '["0", "1"]', "[0, 1, 1]", "[0]",
+                                   "1", "null", '"01"', '{"0": 0, "1": 1}'])
+def test_from_json_cover_entry_that_is_not_two_ints_rejected(entry):
+    text = f'{{"elements": ["a", "b"], "covers": [[0, 1], {entry}]}}'
+    with pytest.raises(LatticeError) as exc:
+        from_json(text)
+    assert str(exc.value) == f"bad cover entry: {json.loads(entry)!r}"
+
+
 def test_cycle_rejected():
     with pytest.raises(LatticeError, match="cycle"):
         build_lattice(["a", "b", "c"], [(0, 1), (1, 2), (2, 0)])
