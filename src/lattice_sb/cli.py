@@ -7,7 +7,6 @@ and JSON output is byte-stable for a fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
@@ -334,6 +333,8 @@ def cmd_search(args) -> int:
         "bound": upper,
         "sandwich": sandwich,
     }
+    import json  # loaded after the search, not at start-up
+
     _emit(json.dumps(obj, indent=2) + "\n", args.output)
     return EXIT_OK if res.proven_optimal else EXIT_INCONCLUSIVE
 

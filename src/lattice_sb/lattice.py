@@ -12,8 +12,8 @@ join, which with a bottom and a top makes the poset a lattice, so a Lattice
 is only ever returned for inputs that really are lattices.  Instances are
 immutable once returned (the fq family builders set `family` on the lattice
 they build before they return it; the modularity and upper semimodularity
-verdicts and the cover pairs are made once and kept) and safe to share
-between threads.
+verdicts, the cover pairs and the name index are made once and kept) and
+safe to share between threads.
 
 A lattice made by a family builder of the fq module records that family in
 `family`, as ("powerset", n, None) or ("projective", n, q); every other
@@ -24,9 +24,7 @@ the builders set it (and with_names keeps it).
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
-from heapq import heappop, heappush
 from itertools import combinations, starmap
 from operator import and_
 from typing import Iterable, Sequence
@@ -110,7 +108,6 @@ class Lattice:
         self.bottom = self._order[0]
         self.top = self._order[-1]
         self.family = family  # (family, n, q) of an fq builder, else None
-        self.name_to_id = {nm: i for i, nm in enumerate(self.names)}
         upper: list[list[int]] = [[] for _ in self.names]
         for hi, lower in enumerate(self._lower_covers):
             for lo in lower:
@@ -122,6 +119,11 @@ class Lattice:
             heights[x] = max(heights[p] for p in self._lower_covers[x]) + 1
         self.heights = tuple(heights)
         self._hpos = tuple(heights[x] for x in self._order)  # height by position
+
+    @cached_property
+    def name_to_id(self) -> dict[str, int]:
+        """Name -> id; made on first use."""
+        return {nm: i for i, nm in enumerate(self.names)}
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -359,17 +361,18 @@ def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Latt
         succ[lo].append(hi)
         pred[hi].append(lo)
 
-    # Kahn topological order, smallest id first; detects cycles.
+    # Kahn topological order, last ready element first; detects cycles.  Any
+    # linear extension serves: no result depends on which one.
     indeg = [len(pred[x]) for x in range(n)]
     ready = [x for x in range(n) if indeg[x] == 0]
     order: list[int] = []
     while ready:
-        x = heappop(ready)
+        x = ready.pop()
         order.append(x)
         for y in succ[x]:
             indeg[y] -= 1
             if indeg[y] == 0:
-                heappush(ready, y)
+                ready.append(y)
     if len(order) < n:
         raise LatticeError("cover relation contains a cycle")
 
@@ -521,6 +524,8 @@ def classify(lat: Lattice) -> dict:
 
 def to_json(lat: Lattice) -> str:
     """JSON form: {"elements": [names...], "covers": [[lower, upper]...]}."""
+    import json  # only JSON reads and writes load it
+
     return json.dumps(
         {"elements": list(lat.names), "covers": [[lo, hi] for lo, hi in lat.covers]}
     )
@@ -534,6 +539,8 @@ def from_json(text: str, max_elements: int | None = None) -> Lattice:
     trusted as is, the one entry point where None means no cap rather than
     the default; the CLI always passes the resolved cap.
     """
+    import json  # only JSON reads and writes load it
+
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:

@@ -1,5 +1,5 @@
-"""The package surface: what the root exports, what it no longer offers, and
-the README's library example."""
+"""The package surface: what the root exports, what a command loads, what it
+no longer offers, and the README's library example."""
 
 import ast
 import contextlib
@@ -69,6 +69,50 @@ def test_a_lazy_name_loads_its_module_on_first_use():
     assert "lattice_sb.search" in _loaded_after("from lattice_sb import max_code")
     assert "lattice_sb.bounds" in _loaded_after("import lattice_sb\nlattice_sb.lsb")
     assert "lattice_sb.schemes" in _loaded_after("import lattice_sb\nlattice_sb.schemes.puncture")
+
+
+# Runs `python -m lattice_sb` with the arguments after the first, or nothing
+# without them, and writes the modules held at exit to the file first named.
+MODULES_AT_EXIT = """
+import atexit, runpy, sys
+out, args = sys.argv[1], sys.argv[2:]
+def dump():
+    with open(out, "w") as fh:
+        fh.write(repr(sorted(sys.modules)))
+atexit.register(dump)
+if args:
+    sys.argv = ["lattice_sb", *args]
+    runpy.run_module("lattice_sb", run_name="__main__", alter_sys=True)
+"""
+
+
+def _modules_at_exit(out: pathlib.Path, *args: str) -> set[str]:
+    proc = subprocess.run([sys.executable, "-c", MODULES_AT_EXIT, str(out), *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(out.read_text()))
+
+
+@pytest.fixture(scope="module")
+def bare_modules(tmp_path_factory):
+    return _modules_at_exit(tmp_path_factory.mktemp("bare") / "modules.txt")
+
+
+@pytest.mark.parametrize("args", [
+    ("check", "--name", "M3"),
+    ("bounds", "--powerset", "-n", "4", "-d", "2"),
+    ("fig5", "-o", "{tmp}/fig5.csv"),
+    ("scheme", "mindist", "{tmp}/code.txt"),
+    ("search", "--powerset", "-n", "3", "-d", "2"),
+], ids=lambda args: args[0])
+def test_start_up_skips_heapq_and_json(args, bare_modules, tmp_path):
+    # of these commands only search loads json, to write its report
+    (tmp_path / "code.txt").write_text("0011\n0101\n1110\n")
+    args = [a.format(tmp=tmp_path) for a in args]
+    added = _modules_at_exit(tmp_path / "modules.txt", *args) - bare_modules
+    assert "lattice_sb.cli" in added
+    assert "heapq" not in added
+    assert ("json" in added) == (args[0] == "search")
 
 
 @pytest.mark.parametrize("name", lattice_sb.__all__)
