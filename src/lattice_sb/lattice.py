@@ -37,7 +37,8 @@ class LatticeError(ValueError):
 
 
 class NotALatticeError(LatticeError):
-    """The input poset has a pair without a unique join or meet."""
+    """The input poset has a pair without a least upper bound; `pair` names
+    the first pair of upper covers of a common element that has none."""
 
     def __init__(self, message: str, pair: tuple[str, str] | None = None):
         super().__init__(message)
@@ -301,24 +302,6 @@ def _cover_pairs(masks, covers):
             yield x, starmap(and_, combinations([masks[c] for c in cov], 2))
 
 
-def _not_a_lattice(names, order, pup, pdown) -> NotALatticeError:
-    """The fault of a poset that fails the cover-pair pass, as the scan of the
-    pairs a <= b by id, join before meet, names it first."""
-    n = len(names)
-    for a in range(n):
-        for b in range(a, n):
-            pair = (names[a], names[b])
-            ub = pup[a] & pup[b]
-            if pup[order[(ub & -ub).bit_length() - 1]] != ub:
-                return NotALatticeError(
-                    f"elements {pair[0]!r} and {pair[1]!r} have no least upper bound", pair)
-            lb = pdown[a] & pdown[b]
-            if pdown[order[lb.bit_length() - 1]] != lb:
-                return NotALatticeError(
-                    f"elements {pair[0]!r} and {pair[1]!r} have no greatest lower bound", pair)
-    raise AssertionError("the cover-pair pass found a fault that the scan does not")
-
-
 def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Lattice:
     """Build and validate a lattice from element names and cover pairs.
 
@@ -338,8 +321,9 @@ def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Latt
             ints, a cover out of range or relating an element to itself;
             cyclic covers, duplicate names, or multiple minimal/maximal
             elements.
-        NotALatticeError: some pair has no unique least upper bound or
-            greatest lower bound (the offending pair is named).
+        NotALatticeError: some pair has no least upper bound.  The error
+            names the first pair of upper covers of a common element without
+            one, by that element's id, then in combinations order.
     """
     names = list(names)
     n = len(names)
@@ -421,11 +405,17 @@ def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Latt
     # upper bound of u and v lies above p and r, hence above s, then t, then
     # e, so e = u v v.  With a bottom, every pair then has a meet too: the
     # join of its common lower bounds.
+    # So a non-lattice with a bottom and a top always fails at some pair of
+    # covers, and the error names the first such pair: by x's id, then in
+    # combinations order of x's ascending upper covers.  An earlier pair with
+    # the same common up-set would have failed first, so `next` finds it.
     at = [pup[x] for x in order]  # up-set by position
-    for _, common in _cover_pairs(pup, lat._upper_covers):
+    for x, common in _cover_pairs(pup, lat._upper_covers):
         for ub in common:
             if at[(ub & -ub).bit_length() - 1] != ub:
-                raise _not_a_lattice(names, order, pup, pdown)
+                a, b = next((a, b) for a, b in combinations(lat._upper_covers[x], 2) if pup[a] & pup[b] == ub)
+                pair = (names[a], names[b])
+                raise NotALatticeError(f"elements {pair[0]!r} and {pair[1]!r} have no least upper bound", pair)
     return lat
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import re
+from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fq import (
@@ -146,48 +147,38 @@ class TransformWitness(NamedTuple):
 def verify_transform(codewords, code_distance: Callable, transform: Callable, lat: Lattice) -> TransformWitness:
     """Check that a code-to-lattice map is injective and distance-preserving.
 
-    Every pair is compared; the witness records the first violated pair and,
-    on success, the (necessarily equal) minimum distances on both sides.
+    Pairs are compared in order up to the first distance mismatch; the
+    witness records the first violated pair and, on success, the (necessarily
+    equal) minimum distances on both sides.
     """
     words = list(codewords)
     images = [transform(wd) for wd in words]
     failure = None
-    injective = True
     seen: dict[int, int] = {}
     for idx, img in enumerate(images):
         if img in seen:
-            injective = False
             failure = (
                 f"codewords {words[seen[img]]!r} and {words[idx]!r} both map to "
                 f"element {lat.names[img]!r}"
             )
             break
         seen[img] = idx
+    injective = failure is None
     isometric = True
     pairs = 0
-    code_min = None
-    scheme_min = None
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            pairs += 1
-            dx = code_distance(words[i], words[j])
-            dh = lat.distance(images[i], images[j])
-            if dx != dh:
-                isometric = False
-                if failure is None:
-                    failure = (
-                        f"distance mismatch for ({words[i]!r}, {words[j]!r}): "
-                        f"code {dx}, lattice {dh}"
-                    )
-                break
-            code_min = dx if code_min is None else min(code_min, dx)
-            scheme_min = dh if scheme_min is None else min(scheme_min, dh)
-        if not isometric:
+    dmin = None
+    for (u, x), (v, y) in combinations(zip(words, images), 2):
+        pairs += 1
+        dx, dh = code_distance(u, v), lat.distance(x, y)
+        if dx != dh:
+            isometric = False
+            failure = failure or f"distance mismatch for ({u!r}, {v!r}): code {dx}, lattice {dh}"
             break
+        dmin = dx if dmin is None else min(dmin, dx)
     ok = injective and isometric
     if not ok:
-        code_min = scheme_min = None
-    return TransformWitness(ok, injective, isometric, pairs, code_min, scheme_min, failure)
+        dmin = None
+    return TransformWitness(ok, injective, isometric, pairs, dmin, dmin, failure)
 
 
 # --- scheme files --------------------------------------------------------------
@@ -253,12 +244,15 @@ def parse_element(text: str, lat: Lattice) -> int:
 
 
 def scheme_to_text(s: Scheme) -> str:
-    """Inverse of parse_scheme_text, for a scheme on a family lattice.
+    """Inverse of parse_scheme_text, for a scheme on a family lattice with
+    n >= 1.
 
     Members are written in the family's notation, found from their ids, so a
     renamed family lattice (with_names) writes the same text.
     """
     family, n, q = _family(s.lattice)
+    if n == 0:
+        raise ValueError("an n = 0 lattice's only element has empty notation, which no scheme file can hold")
     if family == "projective":
         body = [f"q={q} n={n}"] + [subspace_to_text(subspace_of(s.lattice, x)) for x in s.sorted_members()]
     else:

@@ -4,6 +4,7 @@ per-pair scan, on relabelled and non-lattice inputs too."""
 
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -72,8 +73,11 @@ def test_subspace_names():
 def ref_tables(names, covers):
     """The original construction: up/down sets by id, and for each pair the
     first element in id order whose up-set (down-set) contains all common upper
-    (lower) bounds; scanning pairs a <= b, join before meet.  Returns the
-    (join, meet) tables, or the NotALatticeError message and pair."""
+    (lower) bounds.  Returns the (join, meet) tables, or, when some pair has
+    no join or no meet, the NotALatticeError message and pair: the first
+    pair of Hasse upper covers of a common element, by that element's id and
+    then in combinations order of its ascending covers, with no least upper
+    bound.  Asserts that a non-lattice has such a pair."""
     n = len(names)
     above = [{x} for x in range(n)]
     changed = True
@@ -87,20 +91,29 @@ def ref_tables(names, covers):
     down = [sum(1 << y for y in range(n) if x in above[y]) for x in range(n)]
     join = [[0] * n for _ in range(n)]
     meet = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            pair = (names[a], names[b])
-            ub = up[a] & up[b]
-            j = next((c for c in iter_bits(ub) if up[c] & ub == ub), -1)
-            if j < 0:
-                return f"elements {pair[0]!r} and {pair[1]!r} have no least upper bound", pair
-            lb = down[a] & down[b]
-            m = next((c for c in sorted(iter_bits(lb), reverse=True) if down[c] & lb == lb), -1)
-            if m < 0:
-                return f"elements {pair[0]!r} and {pair[1]!r} have no greatest lower bound", pair
-            join[a][b] = join[b][a] = j
-            meet[a][b] = meet[b][a] = m
+    for a, b in itertools.combinations_with_replacement(range(n), 2):
+        ub = up[a] & up[b]
+        j = next((c for c in iter_bits(ub) if up[c] & ub == ub), -1)
+        lb = down[a] & down[b]
+        m = next((c for c in sorted(iter_bits(lb), reverse=True) if down[c] & lb == lb), -1)
+        if j < 0 or m < 0:
+            return cover_pair_fault(names, above)
+        join[a][b] = join[b][a] = j
+        meet[a][b] = meet[b][a] = m
     return join, meet
+
+
+def cover_pair_fault(names, above):
+    """The message and pair naming a non-lattice, from its up-sets alone."""
+    for x in range(len(names)):
+        strict = above[x] - {x}
+        ups = sorted(y for y in strict if not any(y in above[z] for z in strict - {y}))
+        for a, b in itertools.combinations(ups, 2):
+            common = above[a] & above[b]
+            if not any(above[c] >= common for c in common):
+                pair = (names[a], names[b])
+                return f"elements {pair[0]!r} and {pair[1]!r} have no least upper bound", pair
+    raise AssertionError("a non-lattice in which every pair of covers has a join")
 
 
 @st.composite
@@ -169,15 +182,50 @@ def test_build_lattice_matches_scan_on_every_small_bounded_poset():
 
 def test_build_lattice_names_scan_pair_beyond_cover_pairs():
     # 0 < p < a, 0 < r < b, and a, b < c, d < 1: a and b have two minimal
-    # upper bounds.  The pass fails at the covers p, r of 0; the error names
-    # the scan's first pair, a and b, which cover no common element.
+    # upper bounds, and so do p and r.  a and b cover no common element; the
+    # pass fails at the covers p, r of 0, and the error names them.
     names = ["a", "b", "0", "p", "r", "c", "d", "1"]
     i = {nm: x for x, nm in enumerate(names)}
     covers = [(i[lo], i[hi]) for lo, hi in
               [("0", "p"), ("p", "a"), ("0", "r"), ("r", "b"), ("a", "c"), ("a", "d"),
                ("b", "c"), ("b", "d"), ("c", "1"), ("d", "1")]]
-    want = ("elements 'a' and 'b' have no least upper bound", ("a", "b"))
+    want = ("elements 'p' and 'r' have no least upper bound", ("p", "r"))
     assert assert_matches_scan(names, covers) == want
+
+
+def bowtie_over_powerset(n, fault):
+    """2^[n] below a and b, which c covers, under a new top t; with fault, d
+    covers a and b too, so a and b have two minimal upper bounds."""
+    base = build_powerset_lattice(n, max_elements=1 << n)
+    extra = ["a", "b", "c", "d", "t"] if fault else ["a", "b", "c", "t"]
+    i = {nm: x for x, nm in enumerate(extra, len(base))}
+    pairs = [("a", "c"), ("b", "c"), ("c", "t")] + [("a", "d"), ("b", "d"), ("d", "t")] * fault
+    covers = [*base.covers, (base.top, i["a"]), (base.top, i["b"])] + [(i[lo], i[hi]) for lo, hi in pairs]
+    return [*base.names, *extra], covers
+
+
+def best_build_s(names, covers):
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        try:
+            build_lattice(names, covers)
+        except NotALatticeError:
+            pass
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_error_path_costs_no_more_than_validation():
+    # 2,053 elements: the pass fails at the covers a, b of the power set's
+    # top, the last element it looks at, and names them without a rescan
+    clean = bowtie_over_powerset(11, fault=False)
+    assert len(build_lattice(*clean)) == 2052
+    names, covers = bowtie_over_powerset(11, fault=True)
+    with pytest.raises(NotALatticeError) as info:
+        build_lattice(names, covers)
+    assert info.value.pair == ("a", "b")
+    assert best_build_s(names, covers) <= 4 * best_build_s(*clean) + 0.05
 
 
 @settings(max_examples=60, deadline=None)

@@ -219,6 +219,25 @@ def test_lsb_for_lattice_matches_materialized_puncturing(lat):
         assert lsb_for_lattice(lat, d) == want, d
 
 
+# --- the drop lemma -----------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices)
+@example(build_named_lattice("M3"))
+@example(build_powerset_lattice(3))
+def test_coatom_puncture_drops_distance_by_at_most_one_or_two(lat):
+    """The paper's drop lemma: meeting a and b with a coatom w lowers
+    d(a, b) by at most 1 on a distributive lattice and by at most 2 on a
+    modular one, and never raises it."""
+    assume(lat.is_modular())
+    cap = 1 if lat.is_distributive() else 2
+    for w in lat.coatoms():
+        for a, b in itertools.combinations(range(len(lat)), 2):
+            drop = lat.distance(a, b) - lat.distance(lat.meet(a, w), lat.meet(b, w))
+            assert 0 <= drop <= cap, (lat.names[a], lat.names[b], lat.names[w])
+
+
 # --- the bound sandwiches the optimum ------------------------------------------------
 
 

@@ -270,6 +270,15 @@ def test_scheme_text_round_trips_every_member(family):
         assert parse_element(line, lat) == x
 
 
+@pytest.mark.parametrize("family", [("powerset", 0, None), ("projective", 0, 2)], ids=str)
+def test_scheme_text_refuses_n0(family):
+    # its text would be "\n" or "q=2 n=0\n\n", which parse_scheme_text refuses
+    lat = build_powerset_lattice(0) if family[0] == "powerset" else build_projective_lattice(0, 2)
+    assert lat.family == family
+    with pytest.raises(ValueError, match="n = 0"):
+        scheme_to_text(make_scheme(lat, [0]))
+
+
 def test_scheme_text_round_trips_renamed_family_lattice(m3, sub2):
     """M3 is Sub(F_2^2) with display names O, A, B, C, I: its text is the
     subspace notation of Sub(F_2^2), not those names."""
