@@ -11,15 +11,16 @@ mask of the atoms below it: a subset of {1..n} is itself, a subspace of
 F_q^n is the mask of its points (1-spaces), [n]_q bits at most.  An element
 of height k has [k]_q atoms (k on 2^[n], [k]_q read at q = 1), and the atoms
 of a ^ b are the common atoms of a and b.  So one cover rule
-(fq._family_covers) and one height distance and distance graph
+(fq._build_family) and one height distance and distance graph
 (FamilyWindow) read those masks for both families; the family is decided
 only where family_window enumerates the elements.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
+from operator import and_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .counting import is_prime  # noqa: F401  (fq.is_prime stays)
@@ -34,6 +35,7 @@ from .lattice import (
     element_cap,
     iter_bits,
     sublattice_closure,
+    validated_lattice,
     with_names,
 )
 
@@ -106,16 +108,14 @@ def enumerate_grassmannian(n: int, k: int, q: int) -> Iterator[Subspace]:
     if k < 0 or k > n:
         return
     for pivots in combinations(range(n), k):
-        pivot_set = set(pivots)
-        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivot_set]
-        base = [[0] * n for _ in range(k)]
-        for i, p in enumerate(pivots):
-            base[i][p] = 1
-        for vals in product(range(q), repeat=len(free)):
-            rows = [row[:] for row in base]
-            for (i, j), val in zip(free, vals):
-                rows[i][j] = val
-            yield Subspace(q, n, tuple(tuple(r) for r in rows))
+        options = []  # per row, its RREF rows in order: free entries counting up in base q
+        for p in pivots:
+            rows = [(0,) * p + (1,)]
+            for j in range(p + 1, n):
+                rows = [r + (0,) for r in rows] if j in pivots else [r + (v,) for r in rows for v in range(q)]
+            options.append(rows)
+        for rows in product(*options):
+            yield Subspace(q, n, rows)
 
 
 def all_subspaces(n: int, q: int) -> Iterator[Subspace]:
@@ -125,13 +125,24 @@ def all_subspaces(n: int, q: int) -> Iterator[Subspace]:
 
 
 @lru_cache(maxsize=4)
-def _projective_index(n: int, q: int) -> tuple[tuple[Subspace, ...], dict[Subspace, int]]:
-    """The subspace of each projective id, and the id of each subspace."""
-    subs = tuple(all_subspaces(n, q))
-    return subs, {s: i for i, s in enumerate(subs)}
+def _pivot_blocks(n: int, q: int) -> dict[tuple[int, ...], tuple[int, list[tuple[int, int]]]]:
+    """The projective ids in blocks, one per pivot set in all_subspaces
+    order: pivots -> (the first id of its block, its free entries).  Within
+    a block, the free entries, row by row, are the digits of the id's offset
+    in base q."""
+    blocks, first = {}, 0
+    for k in range(n + 1):
+        for pivots in combinations(range(n), k):
+            free = [(i, j) for i, p in enumerate(pivots) for j in range(p + 1, n) if j not in pivots]
+            blocks[pivots] = (first, free)
+            first += q ** len(free)
+    return blocks
 
 
 # --- text format -------------------------------------------------------------
+
+
+_DIGITS = bytes(range(256)).replace(bytes(range(8)), b"01234567")  # entry byte -> its digit
 
 
 def subspace_to_text(sub: Subspace) -> str:
@@ -140,7 +151,7 @@ def subspace_to_text(sub: Subspace) -> str:
         raise ValueError("text format supports q <= 7")
     if sub.dim == 0:
         return "0" * sub.ambient
-    return "/".join("".join(str(x) for x in row) for row in sub.rows)
+    return b"/".join(map(bytes, sub.rows)).translate(_DIGITS).decode()
 
 
 def subspace_from_text(text: str, ambient: int, q: int) -> Subspace:
@@ -211,34 +222,29 @@ def build_projective_lattice(n: int, q: int, max_elements: int | None = None) ->
 
 
 def _build_family(win: FamilyWindow) -> Lattice:
-    """The lattice of a family window that holds every height, built from
-    the cover pairs of _family_covers as they are made."""
-    lat = build_lattice(win.names, _family_covers(win))
-    lat.family = win.family
-    return lat
-
-
-def _family_covers(win: FamilyWindow) -> Iterator[tuple[int, int]]:
-    """The cover pairs of a family window that holds every height, one at a
-    time.
+    """The lattice of a family window that holds every height, read off the
+    atom masks and validated as every Lattice is.
 
     The elements that cover a are those one height up that hold every atom
     of a, as both families are atomistic: one AND of a bitset per atom of a,
     each bitset the elements of the next height that hold that atom.  The
-    bottom has no atoms, so every atom covers it.
+    bottom has no atoms, so every atom covers it.  Covers go up one height,
+    so they are acyclic and already Hasse, and the order by height extends
+    them.
     """
-    masks = win._masks
     levels: list[list[int]] = [[] for _ in range(win.total_height() + 1)]
     for x, h in enumerate(win.heights):
         levels[h].append(x)
+    pred: list[list[int]] = [[] for _ in range(len(win))]
     for lower, upper in zip(levels, levels[1:]):
-        holding = win._above_atoms(upper)  # atom -> bit i for each upper[i] above it
-        for a in lower:
-            above = (1 << len(upper)) - 1
-            for p in iter_bits(masks[a]):
-                above &= holding[p]
-            for i in iter_bits(above):
-                yield a, upper[i]
+        holding = win._above_atoms(upper)  # atom -> bit j for each upper[j] above it
+        everyone = (1 << len(upper)) - 1
+        for x in lower:
+            for j in iter_bits(reduce(and_, map(holding.__getitem__, iter_bits(win._masks[x])), everyone)):
+                pred[upper[j]].append(x)
+    lat = validated_lattice(win.names, pred, [x for level in levels for x in level], True)
+    lat.family = win.family
+    return lat
 
 
 def _point_masks(subs: Sequence[Subspace]) -> list[int]:
@@ -255,24 +261,39 @@ def _point_masks(subs: Sequence[Subspace]) -> list[int]:
     before the subspace, and a point gets its bit where its 1-space is met.
     V is 0 in the first coordinate, so only the spans that are 0 there keep
     their vectors: at most q^(n-1) each, for the subspaces of F_q^(n-1).
+
+    A vector is packed into an int, w bits per coordinate, the first
+    coordinate highest; a sum of two entries fits a field, and adding
+    2^(w-1) - q to each field sets its top bit where q is to be taken off.
     """
     zero = subs[0]
     q, n = zero.q, zero.ambient
-    known = {(): ([(0,) * n], 0)}  # rows -> (the vectors of their span, its mask)
-    points: dict[tuple[int, ...], int] = {}
+    w = q.bit_length() + 1
+    tops = sum(1 << w * j + w - 1 for j in range(n))  # the top bit of each field
+    lift = tops - q * (tops >> (w - 1))
+
+    def shift(r: int, vectors: list[int]) -> list[int]:  # r + v for each v
+        return [u - (((u + lift) & tops) >> (w - 1)) * q for u in map(r.__add__, vectors)]
+
+    packed: dict[tuple[int, ...], int] = {}  # RREF row of a point -> its vector
+    bits: dict[int, int] = {}  # vector of a point -> its bit
+    known = {(): ([0], 0)}  # rows -> (the vectors of their span, its mask)
     masks = [0]
     for s in subs[1:]:
-        r1 = s.rows[0]
+        if s.dim == 1:  # a point, whose RREF row is its vector
+            r1 = sum(x << w * (n - 1 - j) for j, x in enumerate(s.rows[0]))
+            packed[s.rows[0]], bits[r1] = r1, 1 << len(bits)
+        r1 = packed[s.rows[0]]
         vectors, mask = known[s.rows[1:]]
-        if s.dim == 1:
-            points[r1] = len(points)
-        shifted = [tuple((x + y) % q for x, y in zip(r1, v)) for v in vectors]
-        for u in shifted:
-            mask |= 1 << points[u]
+        coset = shift(r1, vectors)
+        mask += sum(map(bits.__getitem__, coset))  # new points, one bit each
         masks.append(mask)
-        if not r1[0]:
-            known[s.rows] = (vectors + shifted + [tuple((a * x + y) % q for x, y in zip(r1, v))
-                                                  for a in range(2, q) for v in vectors], mask)
+        if r1 >> w * (n - 1) == 0:
+            span = vectors + coset
+            for _ in range(2, q):
+                coset = shift(r1, coset)
+                span += coset
+            known[s.rows] = (span, mask)
     return masks
 
 
@@ -455,17 +476,34 @@ def subspace_id(lat: Lattice, sub: Subspace) -> int:
     """Element id of a subspace in a projective family lattice.
 
     Found from the family, not the names, so a lattice renamed by
-    with_names (such as M3) maps a subspace to the same id.
+    with_names (such as M3) maps a subspace to the same id.  Ranked in
+    closed form from the pivots and free entries of its RREF rows; a
+    subspace of another F_q^n raises KeyError.
     """
     _, n, q = lat.family
-    return _projective_index(n, q)[1][sub]
+    if (sub.q, sub.ambient) != (q, n):
+        raise KeyError(sub)
+    first, free = _pivot_blocks(n, q)[tuple(row.index(1) for row in sub.rows)]
+    offset = 0
+    for i, j in free:
+        offset = offset * q + sub.rows[i][j]
+    return first + offset
 
 
 def subspace_of(lat: Lattice, x: int) -> Subspace:
     """The subspace of element x of a projective family lattice; the
     inverse of subspace_id."""
     _, n, q = lat.family
-    return _projective_index(n, q)[0][x]
+    if not 0 <= x < len(lat):
+        raise IndexError(f"element {x} out of range")
+    blocks = _pivot_blocks(n, q)
+    pivots = [p for p, (first, _) in blocks.items() if first <= x][-1]
+    first, free = blocks[pivots]
+    offset = x - first
+    rows = [[int(j == p) for j in range(n)] for p in pivots]
+    for i, j in reversed(free):
+        offset, rows[i][j] = divmod(offset, q)
+    return Subspace(q, n, tuple(map(tuple, rows)))
 
 
 def build_named_lattice(name: str, max_elements: int | None = None) -> Lattice:

@@ -7,9 +7,10 @@ the lower covers of each element; the sorted cover pairs are made only when
 asked for.  Join and meet are computed on demand from these masks: the join
 of a and b is the first of their common upper bounds in that order, the meet
 the last of their common lower bounds.  No n x n table is stored.
-build_lattice checks that every two upper covers of a common element have a
-join, which with a bottom and a top makes the poset a lattice, so a Lattice
-is only ever returned for inputs that really are lattices.  Instances are
+validated_lattice, which build_lattice and the fq family builders both end
+in, checks that every two upper covers of a common element have a join,
+which with a bottom and a top makes the poset a lattice, so a Lattice is
+only ever returned for inputs that really are lattices.  Instances are
 immutable once returned (the fq family builders set `family` on the lattice
 they build before they return it; the modularity and upper semimodularity
 verdicts, the cover pairs and the name index are made once and kept) and
@@ -24,9 +25,9 @@ the builders set it (and with_names keeps it).
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, starmap
-from operator import and_
+from operator import and_, or_
 from typing import Iterable, Sequence
 
 DEFAULT_MAX_ELEMENTS = 128
@@ -96,8 +97,8 @@ class Lattice:
     held once, per element: `_lower_covers[x]` lists the elements x covers,
     ascending; the upper covers and the heights are derived from it, and
     `covers`, the sorted (lower, upper) pairs, is made on first use.
-    build_lattice makes every Lattice and checks that its order really is a
-    lattice.
+    validated_lattice makes every Lattice (with_names copies one) and checks
+    that its order really is a lattice.
     """
 
     def __init__(self, names, lower_covers, pup, pdown, order, family=None):
@@ -117,7 +118,7 @@ class Lattice:
         # Height: longest cover path from the bottom, which comes first in order.
         heights = [0] * len(self.names)
         for x in self._order[1:]:
-            heights[x] = max(heights[p] for p in self._lower_covers[x]) + 1
+            heights[x] = max(map(heights.__getitem__, self._lower_covers[x])) + 1
         self.heights = tuple(heights)
         self._hpos = tuple(heights[x] for x in self._order)  # height by position
 
@@ -306,9 +307,9 @@ def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Latt
     """Build and validate a lattice from element names and cover pairs.
 
     The pairs are read once, into the predecessors and successors of each
-    element; the Lattice holds the cover relation once, as the Hasse lower
-    covers of each element, and makes its sorted `covers` pairs only when
-    asked for them.
+    element, ordered by Kahn's algorithm, and handed to validated_lattice,
+    which keeps the Hasse lower covers of each element; the Lattice makes
+    its sorted `covers` pairs only when asked for them.
 
     Args:
         names: display names, one per element; ids follow this order.
@@ -335,9 +336,9 @@ def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Latt
     succ: list[list[int]] = [[] for _ in range(n)]
     pred: list[list[int]] = [[] for _ in range(n)]
     for pair in covers:
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(type(v) is int for v in pair)):
+        lo, hi = pair if isinstance(pair, (list, tuple)) and len(pair) == 2 else (None, None)
+        if type(lo) is not int or type(hi) is not int:
             raise LatticeError(f"bad cover entry: {pair!r}")
-        lo, hi = pair
         if not (0 <= lo < n and 0 <= hi < n):
             raise LatticeError(f"cover ({lo}, {hi}) out of range")
         if lo == hi:
@@ -359,22 +360,32 @@ def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Latt
                 ready.append(y)
     if len(order) < n:
         raise LatticeError("cover relation contains a cycle")
+    del succ, indeg  # freed before the closure
+    return validated_lattice(names, pred, order, False)
 
+
+def validated_lattice(names: list[str], pred: list, order: Sequence[int], hasse: bool) -> Lattice:
+    """The Lattice of acyclic covers, once it passes the checks that every
+    Lattice passes: one bottom, one top, and a join for every pair of upper
+    covers of a common element.
+
+    pred lists the predecessors of each element, and order is a linear
+    extension of them.  With hasse, pred[x] is already x's Hasse lower
+    covers, ascending; otherwise repeated and transitive pairs are dropped.
+    Raises LatticeError or NotALatticeError as build_lattice does.
+    """
+    n = len(names)
     # The closure: up- and down-sets as bitmasks over positions in order.
     pdown = [0] * n
     for i, x in enumerate(order):
-        m = 1 << i
+        pdown[x] = reduce(or_, map(pdown.__getitem__, pred[x]), 1 << i)
+    pup = [0] * n  # filled after pdown: interleaved, the two fragment the heap
+    for i, x in enumerate(order):
+        pup[x] = 1 << i
+    for x in reversed(order):
+        m = pup[x]
         for p in pred[x]:
-            m |= pdown[p]
-        pdown[x] = m
-    pup = [0] * n
-    for i in reversed(range(n)):
-        x = order[i]
-        m = 1 << i
-        for y in succ[x]:
-            m |= pup[y]
-        pup[x] = m
-    del succ  # freed before the reduced covers are made
+            pup[p] |= m
 
     # A minimal element has only itself below it, a maximal one above it.
     bottoms = [x for x in range(n) if pdown[x] & (pdown[x] - 1) == 0]
@@ -389,33 +400,30 @@ def build_lattice(names: Iterable[str], covers: Iterable[Sequence[int]]) -> Latt
     # True covers: no third element strictly between; a repeated pair counts once.
     for x, lower in enumerate(pred):
         down = pdown[x]
-        pred[x] = tuple(sorted({p for p in lower if (pup[p] & down).bit_count() == 2}))
+        pred[x] = tuple(lower) if hasse else tuple(sorted({p for p in lower if (pup[p] & down).bit_count() == 2}))
     lat = Lattice(names, pred, pup, pdown, order)
-    # The cover-pair pass.  A least upper bound of a and b comes first among
-    # their common upper bounds in any linear extension, so the join candidate
-    # is the lowest bit of the common position up-set; it is the join iff its
-    # own up-set is all of them.  Only pairs of upper covers of a common
-    # element are tested: a finite poset with a bottom and a top in which each
-    # such pair has a join is a lattice.  By induction on |P|: take u and v,
-    # neither of them the bottom, and atoms p <= u and r <= v.  The up-sets
-    # of p and of r meet the hypothesis and are smaller, so they are
-    # lattices.  If p = r, then u v v exists in the up-set of p.  Otherwise
-    # s = p v r exists by the hypothesis at the bottom, t = u v s exists in
-    # the up-set of p, and e = t v v exists in the up-set of r.  Any common
-    # upper bound of u and v lies above p and r, hence above s, then t, then
-    # e, so e = u v v.  With a bottom, every pair then has a meet too: the
-    # join of its common lower bounds.
+    # The cover-pair pass.  a and b have a join iff their common up-set is
+    # the up-set of some element, which is then the join, so one set of the
+    # up-sets tests all the pairs of an element's covers in C.  Only pairs of
+    # upper covers of a common element are tested: a finite poset with a
+    # bottom and a top in which each such pair has a join is a lattice.  By
+    # induction on |P|: take u and v, neither of them the bottom, and atoms
+    # p <= u and r <= v.  The up-sets of p and of r meet the hypothesis and
+    # are smaller, so they are lattices.  If p = r, then u v v exists in the
+    # up-set of p.  Otherwise s = p v r exists by the hypothesis at the
+    # bottom, t = u v s exists in the up-set of p, and e = t v v exists in
+    # the up-set of r.  Any common upper bound of u and v lies above p and r,
+    # hence above s, then t, then e, so e = u v v.  With a bottom, every pair
+    # then has a meet too: the join of its common lower bounds.
     # So a non-lattice with a bottom and a top always fails at some pair of
     # covers, and the error names the first such pair: by x's id, then in
-    # combinations order of x's ascending upper covers.  An earlier pair with
-    # the same common up-set would have failed first, so `next` finds it.
-    at = [pup[x] for x in order]  # up-set by position
+    # combinations order of x's ascending upper covers.
+    upsets = set(pup)
     for x, common in _cover_pairs(pup, lat._upper_covers):
-        for ub in common:
-            if at[(ub & -ub).bit_length() - 1] != ub:
-                a, b = next((a, b) for a, b in combinations(lat._upper_covers[x], 2) if pup[a] & pup[b] == ub)
-                pair = (names[a], names[b])
-                raise NotALatticeError(f"elements {pair[0]!r} and {pair[1]!r} have no least upper bound", pair)
+        if not upsets.issuperset(common):
+            a, b = next((a, b) for a, b in combinations(lat._upper_covers[x], 2) if pup[a] & pup[b] not in upsets)
+            pair = (names[a], names[b])
+            raise NotALatticeError(f"elements {pair[0]!r} and {pair[1]!r} have no least upper bound", pair)
     return lat
 
 
@@ -435,7 +443,8 @@ def sublattice_closure(lat: Lattice, seed: Iterable[int]) -> Lattice:
     """Close a seed set under join and meet; return the induced sublattice.
 
     The result is a fresh Lattice with its own ids, heights and order;
-    names are inherited from the parent.
+    names are inherited from the parent.  Each pair of members is joined
+    and met once, in the round after the later of the two is added.
     """
     ids = set(seed)
     if not ids:
@@ -443,16 +452,18 @@ def sublattice_closure(lat: Lattice, seed: Iterable[int]) -> Lattice:
     for x in ids:
         if not 0 <= x < len(lat):
             raise LatticeError(f"seed element {x} out of range")
-    changed = True
-    while changed:
-        changed = False
-        cur = sorted(ids)
-        for i, a in enumerate(cur):
-            for b in cur[i:]:
+    old: list[int] = []
+    new = sorted(ids)
+    while new:
+        added = []
+        for i, a in enumerate(new):
+            for b in old + new[i + 1:]:
                 for x in (lat.join(a, b), lat.meet(a, b)):
                     if x not in ids:
                         ids.add(x)
-                        changed = True
+                        added.append(x)
+        old += new
+        new = added
     return _restrict(lat, sorted(ids))
 
 

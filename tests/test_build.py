@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from lattice_sb import (
     NAMED_LATTICES,
+    FamilyWindow,
+    LatticeError,
     NotALatticeError,
     all_subspaces,
     build_lattice,
@@ -22,7 +24,7 @@ from lattice_sb import (
     subspace_to_text,
     with_names,
 )
-from lattice_sb.fq import subspace_id, subspace_name
+from lattice_sb.fq import _build_family, subspace_id, subspace_name
 from lattice_sb.lattice import iter_bits
 from oracles import subspace_intersect, subspace_leq, subspace_sum
 from test_classifiers import SUB24, SUB33, lattices
@@ -309,3 +311,98 @@ def test_family_build_traced_peak_is_bounded(build, args, bound_kb):
     # the cover relation is held once, per element: no list, set or sorted
     # list of all the cover pairs is made on the way
     assert traced_peak(build, *args) < bound_kb * 1024
+
+
+# --- family lattices from their atom masks --------------------------------------------
+
+FAMILIES = ([("powerset", n, None) for n in range(9)] + [("projective", n, 2) for n in range(6)]
+            + [("projective", n, 3) for n in range(5)] + [("projective", n, q) for q in (5, 7) for n in range(4)])
+
+
+@pytest.mark.parametrize("family, n, q", FAMILIES)
+def test_family_lattice_from_masks_equals_build_lattice(family, n, q):
+    # the covers that build_lattice gets are found without masks: subset
+    # containment on 2^[n], elimination on Sub(F_q^n)
+    if family == "powerset":
+        lat = build_powerset_lattice(n, 256)
+        covers = [(s, t) for s in range(1 << n) for t in range(1 << n)
+                  if s & t == s and t.bit_count() == s.bit_count() + 1]
+    else:
+        lat = build_projective_lattice(n, q, 400)
+        subs = list(all_subspaces(n, q))
+        covers = [(a, b) for a, sa in enumerate(subs) for b, sb in enumerate(subs)
+                  if sb.dim == sa.dim + 1 and subspace_leq(sa, sb)]
+    ref = build_lattice(lat.names, covers)
+    assert (lat.names, lat.heights, lat.covers) == (ref.names, ref.heights, ref.covers)
+    everyone = range(len(lat))
+    for a in everyone:
+        assert [lat.leq(a, b) for b in everyone] == [ref.leq(a, b) for b in everyone]
+        assert [lat.join(a, b) for b in everyone] == [ref.join(a, b) for b in everyone]
+        assert [lat.meet(a, b) for b in everyone] == [ref.meet(a, b) for b in everyone]
+
+
+def window_of(masks, heights):
+    """A family window that holds the given atom masks and heights."""
+    top = max(heights)
+    return FamilyWindow(("powerset", top, None), (0, top), [f"e{x}" for x in range(len(masks))],
+                        heights, masks, range(top + 1))
+
+
+def test_family_build_of_an_untampered_window():
+    lat = _build_family(window_of([0, 0b01, 0b10, 0b11], [0, 1, 1, 2]))
+    assert lat.covers == ((0, 1), (0, 2), (1, 3), (2, 3))
+
+
+def test_family_build_refuses_a_bowtie():
+    # e3 and e4 both hold the atoms e1 and e2, so e1 and e2 have two minimal
+    # upper bounds
+    with pytest.raises(NotALatticeError) as info:
+        _build_family(window_of([0, 0b01, 0b10, 0b11, 0b11, 0b11], [0, 1, 1, 2, 2, 3]))
+    assert info.value.pair == ("e1", "e2")
+
+
+def test_family_build_refuses_an_element_with_no_lower_cover():
+    # e4 sits at height 2 on an atom that no height-1 element holds
+    with pytest.raises(LatticeError, match="multiple minimal elements: 'e0', 'e4'"):
+        _build_family(window_of([0, 0b001, 0b010, 0b011, 0b100, 0b111], [0, 1, 1, 2, 2, 3]))
+
+
+# --- sublattice closure ----------------------------------------------------------------
+
+
+def closure_by_all_pairs(lat, seed):
+    """The ids of the closure of seed, joining and meeting every pair of the
+    set again in each round, until a round adds nothing."""
+    ids = set(seed)
+    changed = True
+    while changed:
+        changed = False
+        cur = sorted(ids)
+        for i, a in enumerate(cur):
+            for b in cur[i:]:
+                for x in (lat.join(a, b), lat.meet(a, b)):
+                    if x not in ids:
+                        ids.add(x)
+                        changed = True
+    return sorted(ids)
+
+
+def assert_closure_joins_each_pair_once(lat, seed):
+    probe = with_names(lat, lat.names)
+    joins = []
+    probe.join = lambda a, b: joins.append((a, b)) or lat.join(a, b)
+    sub = sublattice_closure(probe, seed)
+    assert sub.names == tuple(lat.names[x] for x in closure_by_all_pairs(lat, seed))
+    assert len(joins) <= len(sub) * (len(sub) + 1) // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(lattices, st.sampled_from(STOCK)), st.data())
+def test_sublattice_closure_matches_the_all_pairs_rule(lat, data):
+    assert_closure_joins_each_pair_once(lat, data.draw(st.lists(st.integers(0, len(lat) - 1), min_size=1,
+                                                                 max_size=5)))
+
+
+def test_sublattice_closure_of_twelve_points_of_2_9():
+    # 288 elements: the all-pairs rule makes 75,973 joins for 41,616 pairs, this closure 41,328
+    assert_closure_joins_each_pair_once(build_powerset_lattice(9, 512), random.Random(30).sample(range(512), 12))

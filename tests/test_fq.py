@@ -20,7 +20,9 @@ from lattice_sb import (
     gaussian,
     greedy_code,
     max_code,
+    parse_scheme_text,
     rref,
+    scheme_to_text,
     SearchProblem,
     subspace_from_text,
     subspace_to_text,
@@ -241,6 +243,35 @@ def test_projective_lattice_shape(sub2, sub3):
         assert subspace_id(sub3, s) == i
 
 
+@pytest.mark.parametrize("n, q", [(0, 2), (1, 2), (3, 2), (4, 2), (3, 3), (2, 5), (2, 11)])
+def test_subspace_id_and_subspace_of_rank_in_closed_form(n, q):
+    lat = build_projective_lattice(n, q)
+    for i, s in enumerate(all_subspaces(n, q)):
+        assert (subspace_id(lat, s), fq.subspace_of(lat, i)) == (i, s)
+    for x in (-1, len(lat)):
+        with pytest.raises(IndexError):
+            fq.subspace_of(lat, x)
+    with pytest.raises(KeyError):
+        subspace_id(lat, full_space(n + 1, q))
+
+
+def test_renamed_family_lattice_maps_a_subspace_to_the_same_id():
+    m3 = build_named_lattice("M3")
+    for i, s in enumerate(all_subspaces(2, 2)):
+        assert (subspace_id(m3, s), fq.subspace_of(m3, i)) == (i, s)
+
+
+def test_scheme_file_enumerates_the_space_once(monkeypatch):
+    # the build lists each Grassmannian once; ids and subspaces are then
+    # ranked and unranked in closed form, reading and writing alike
+    dims = []
+    grassmannian = fq.enumerate_grassmannian
+    monkeypatch.setattr(fq, "enumerate_grassmannian", lambda n, k, q: dims.append(k) or grassmannian(n, k, q))
+    text = "q=2 n=4\n1000/0100\n1010/0101\n0010/0001\n"
+    assert scheme_to_text(parse_scheme_text(text)) == text
+    assert dims == [0, 1, 2, 3, 4]
+
+
 def test_projective_cover_means_one_dim_step(sub3):
     for lo, hi in sub3.covers:
         assert sub3.height(hi) == sub3.height(lo) + 1
@@ -357,7 +388,6 @@ def test_low_projective_window_enumerates_only_its_dimensions(monkeypatch):
     dims = []
     grassmannian = fq.enumerate_grassmannian
     monkeypatch.setattr(fq, "enumerate_grassmannian", lambda n, k, q: dims.append(k) or grassmannian(n, k, q))
-    monkeypatch.setattr(fq, "_projective_index", lambda n, q: pytest.fail("enumerated all of Sub(F_q^n)"))
     win = family_window("projective", 6, 2, (2, 2), 3000)
     assert dims == [0, 1, 2]
     assert win.names == tuple(fq.subspace_name(subs[i]) for i in kept)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -55,13 +56,22 @@ def test_bad_cover_indices_rejected():
         build_lattice(["a", "b"], [(1, 1)])
 
 
-@pytest.mark.parametrize("entry", [(0, 1.9), (False, True), ("0", "1"), (0, 1, 5), (0,), 1, None, {0, 1}],
-                         ids=["float", "bools", "strings", "triple", "single", "int", "none", "set"])
+Pair = namedtuple("Pair", "lo hi")
+
+
+@pytest.mark.parametrize("entry", [(0, 1.9), (False, True), ("0", "1"), (0, 1, 5), (0,), 1, None, {0, 1},
+                                   True, (0, True), Pair(0, 1.5)],
+                         ids=["float", "bools", "strings", "triple", "single", "int", "none", "set",
+                              "bool", "int and bool", "namedtuple"])
 def test_cover_entry_that_is_not_two_ints_rejected(entry):
     # each of the first four was once truncated to the cover (0, 1)
     with pytest.raises(LatticeError) as exc:
         build_lattice(["a", "b"], [entry])
     assert str(exc.value) == f"bad cover entry: {entry!r}"
+
+
+def test_namedtuple_of_two_ints_is_a_cover_entry():
+    assert build_lattice(["a", "b"], [Pair(0, 1)]).covers == ((0, 1),)
 
 
 @pytest.mark.parametrize("entry", ["[0, 1.5]", "[false, true]", '["0", "1"]', "[0, 1, 1]", "[0]",
