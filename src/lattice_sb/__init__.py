@@ -11,7 +11,7 @@ bounds, schemes and search are root exports too, but each of those modules
 loads on the first access to one of its names (or to the module itself).
 """
 
-from .counting import binomial, gaussian, whitney, whitney_closed_form
+from .counting import binomial, gaussian, whitney, whitney_row
 from .fq import (
     NAMED_LATTICES,
     FamilyWindow,
@@ -157,7 +157,7 @@ __all__ = [
     "to_json",
     "verify_transform",
     "whitney",
-    "whitney_closed_form",
+    "whitney_row",
     "window_ids",
     "with_names",
 ]

@@ -12,10 +12,11 @@ search uses to stop at its root, is a closed form on the families only.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import NamedTuple
 
 from . import fq
-from .counting import binomial, check_family, gaussian, whitney_closed_form
+from .counting import binomial, check_family, whitney_row
 from .lattice import HeightExceeded, Lattice, check_window, window_ids
 
 
@@ -69,7 +70,7 @@ def lsb(family: str, n: int, d: int, q: int | None = None, window: tuple[int, in
     """
     check_family(family, n, q)
     a, lo, hi = _budget(d, family == "powerset" or n <= 1, n, window)
-    return sum(whitney_closed_form(family, n - a, k, q) for k in range(lo, hi + 1))
+    return sum(islice(whitney_row(family, n - a, q), lo, hi + 1))
 
 
 def lsb_windowed(family: str, n: int, d: int, m: int, M: int, q: int | None = None) -> int:
@@ -152,14 +153,10 @@ def anticode_bound(family: str, n: int, d: int, q: int | None = None,
     check_window(window, n)
     D = d - 1
     if family == "powerset" and window in (None, (0, n)):
-        r = D // 2
         if D >= n:
-            size = 2**n
-        elif D % 2 == 0:
-            size = sum(binomial(n, i) for i in range(r + 1))
-        else:
-            size = 2 * sum(binomial(n - 1, i) for i in range(r + 1))
-        return 2**n // size
+            return 1
+        odd = D % 2  # D = 2r + odd: a ball of radius r in 2^[n - odd], twice if odd
+        return 2**n // ((1 + odd) * sum(islice(whitney_row(family, n - odd), D // 2 + 1)))
     if window is None or window[0] != window[1]:
         return None
     k = window[0]
@@ -173,8 +170,13 @@ def anticode_bound(family: str, n: int, d: int, q: int | None = None,
             for r in range((n - t) // 2 + 1)
         )
     else:
-        size = max(gaussian(n - t, k - t, q), gaussian(2 * k - t, k, q))
-    return whitney_closed_form(family, n, k, q) // size
+        size = max(_level(family, n - t, k - t, q), _level(family, 2 * k - t, k, q))
+    return _level(family, n, k, q) // size
+
+
+def _level(family: str, n: int, k: int, q: int | None) -> int:
+    """The Whitney number at height k, 0 <= k <= n, read off the row."""
+    return next(islice(whitney_row(family, n, q), k, None))
 
 
 # --- volumes and the GV-type lower bound -------------------------------------
@@ -246,24 +248,21 @@ def family_gv_values(family: str, n: int, d_values, q: int | None = None,
     check_family(family, n, q)
     _check_distances(d_values)
     if family == "powerset" and window is None:
-        return [-(-(2**n) // sum(binomial(n, i) for i in range(min(d - 1, n) + 1))) for d in d_values]
+        return [-(-(2**n) // sum(islice(whitney_row(family, n), d))) for d in d_values]
     fq.family_size(family, n, q, max_elements)
     check_window(window, n)
     lo, hi = window or (0, n)
     levels = range(lo, hi + 1)
     base = q if family == "projective" else 1
-
-    def count(a: int, b: int) -> int:  # [a,b]_q or C(a,b); the family is checked above
-        return binomial(a, b) if family == "powerset" else gaussian(a, b, q)
-
+    rows = [list(whitney_row(family, m, q)) for m in range(n + 1)]
     hists = []
     for k in levels:
         hist = [0] * (n + 1)
         for j in levels:
             for i in range(max(0, k + j - n), min(k, j) + 1):
-                hist[k + j - 2 * i] += base ** ((k - i) * (j - i)) * count(k, i) * count(n - k, j - i)
+                hist[k + j - 2 * i] += base ** ((k - i) * (j - i)) * rows[k][i] * rows[n - k][j - i]
         hists.append(hist)
-    return _gv_from_histograms(sum(count(n, k) for k in levels), hists, d_values)
+    return _gv_from_histograms(sum(rows[n][lo:hi + 1]), hists, d_values)
 
 
 def gv_lower(family: str, n: int, d: int, q: int | None = None, max_elements: int | None = None) -> int:

@@ -1,11 +1,12 @@
 """Exact counting: binomials, Gaussian binomials, Whitney numbers.
 
 Everything returns exact Python ints; any log2 rendering happens at output
-time only.
+time only.  A family's level counts all come from whitney_row.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from math import comb
 
 from .lattice import Lattice
@@ -22,26 +23,25 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def _check_nq(n: int, q: int):
+def q_integer(m: int, q: int | None) -> int:
+    """[m]_q = 1 + q + ... + q^(m-1), or m where q is None."""
+    return m if q is None else (q**m - 1) // (q - 1)
+
+
+def _row(n: int, q: int | None):
+    c = 1
+    for k in range(n + 1):
+        yield c
+        c = c * q_integer(n - k, q) // q_integer(k + 1, q)  # exact: [n,k]_q [n-k]_q = [n,k+1]_q [k+1]_q
+
+
+def gaussian(n: int, k: int, q: int) -> int:
+    """Count of k-dim subspaces of an n-dim space over a q-element field."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if q < 2:
         raise ValueError("q must be >= 2")
-
-
-def gaussian(n: int, k: int, q: int) -> int:
-    """Count of k-dim subspaces of an n-dim space over a q-element field.
-
-    Product formula; each partial product is itself a Gaussian binomial, so
-    the stepwise integer division is exact.
-    """
-    _check_nq(n, q)
-    if k < 0 or k > n:
-        return 0
-    r = 1
-    for i in range(1, k + 1):
-        r = r * (q ** (n - k + i) - 1) // (q ** i - 1)
-    return r
+    return next(islice(_row(n, q), k, None)) if 0 <= k <= n else 0
 
 
 def whitney(lat: Lattice) -> list[int]:
@@ -104,7 +104,8 @@ def check_family(family: str, n: int, q: int | None):
         check_field(q)
 
 
-def whitney_closed_form(family: str, n: int, k: int, q: int | None = None) -> int:
-    """Height-k count for the power-set / projective family lattices."""
+def whitney_row(family: str, n: int, q: int | None = None):
+    """A family's Whitney numbers [n,k]_q, k = 0..n, lazily, by [n,k+1]_q =
+    [n,k]_q [n-k]_q / [k+1]_q; 2^[n] reads [m]_q as m.  Checks at the call."""
     check_family(family, n, q)
-    return binomial(n, k) if family == "powerset" else gaussian(n, k, q)
+    return _row(n, q if family == "projective" else None)

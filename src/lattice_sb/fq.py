@@ -9,8 +9,8 @@ lattices (M3, N5, L1, L2).
 Both family lattices are geometric, and each element of them is read as the
 mask of the atoms below it: a subset of {1..n} is itself, a subspace of
 F_q^n is the mask of its points (1-spaces), [n]_q bits at most.  An element
-of height k has [k]_q atoms (k on 2^[n], [k]_q read at q = 1), and the atoms
-of a ^ b are the common atoms of a and b.  So one cover rule
+of height k has [k]_q atoms (counting.q_integer, which the Whitney rows use
+too), and the atoms of a ^ b are the common atoms of a and b.  So one cover rule
 (fq._build_family) and one height distance and distance graph
 (FamilyWindow) read those masks for both families; the family is decided
 only where family_window enumerates the elements.
@@ -24,7 +24,7 @@ from operator import and_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .counting import is_prime  # noqa: F401  (fq.is_prime stays)
-from .counting import check_family, check_field, gaussian, whitney_closed_form
+from .counting import check_family, check_field, q_integer, whitney_row
 from .lattice import (
     CapExceeded,
     Lattice,
@@ -183,17 +183,17 @@ def family_size(family: str, n: int, q: int | None, max_elements: int | None = N
     least 2^n elements, so an n above the cap's bit length is over the cap
     before any level is counted.
     """
-    check_family(family, n, q)
+    levels = whitney_row(family, n, q)  # checks the family
     if family == "powerset":
         if n > 20:
             raise CapExceeded("power-set lattice supported for 0 <= n <= 20")
         return check_cap(1 << n, f"power-set lattice on {n} points", max_elements)
     what, cap = f"Sub(F_{q}^{n})", element_cap(max_elements)
     size = cap + 1 if n > cap.bit_length() else 0
-    for k in range(n + 1):
+    for _ in range(n + 1):
         if size > cap:
             raise CapExceeded(f"{what} has more than {cap} elements; cap is {cap} (raise via max_elements)")
-        size += gaussian(n, k, q)
+        size += next(levels)
     return check_cap(size, what, max_elements)
 
 
@@ -456,7 +456,7 @@ def family_window(family: str, n: int, q: int | None, window: tuple[int, int] | 
         kept = [(s, mask) for s, mask in zip(subs, _point_masks(subs)) if s.dim >= lo]
         masks = [mask for _, mask in kept]
         names, heights = [subspace_name(s) for s, _ in kept], [s.dim for s, _ in kept]
-    atoms_at = [whitney_closed_form(family, k, 1, q) for k in range(n + 1)]
+    atoms_at = [q_integer(k, q) for k in range(n + 1)]
     return FamilyWindow((family, n, q), (lo, hi), names, heights, masks, atoms_at)
 
 

@@ -11,8 +11,9 @@ as the reference for that order.  Primality is decided by trial division
 here, against the Miller-Rabin test of `counting.is_prime`.
 
 Two independent Gaussian-binomial algorithms are kept on purpose as mutual
-oracles: `counting.gaussian` (product formula with exact stepwise division)
-and `gaussian_pascal` here (q-Pascal recurrence).
+oracles: `counting.gaussian`, a term of the Whitney row made by the ratio
+recurrence [n,k+1]_q = [n,k]_q [n-k]_q / [k+1]_q with exact division, and
+`gaussian_pascal` here (q-Pascal recurrence).
 
 The valuation predicates read a lattice only through join, meet and covers,
 so they check the height metric without the cover-pair tests that decide
@@ -25,7 +26,6 @@ import math
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from lattice_sb.counting import _check_nq
 from lattice_sb.fq import Subspace, rref
 
 
@@ -35,7 +35,8 @@ from lattice_sb.fq import Subspace, rref
 @lru_cache(maxsize=None)
 def gaussian_pascal(n: int, k: int, q: int) -> int:
     """Same count via the q-Pascal recurrence; independent cross-check route."""
-    _check_nq(n, q)
+    if n < 0 or q < 2:
+        raise ValueError(f"need n >= 0 and q >= 2, got n={n}, q={q}")
     if k < 0 or k > n:
         return 0
     if k == 0 or k == n:

@@ -33,7 +33,7 @@ from lattice_sb import (
 )
 from lattice_sb import fq
 from lattice_sb.bounds import _budget
-from lattice_sb.counting import whitney_closed_form
+from lattice_sb.counting import whitney_row
 from lattice_sb.lattice import HeightExceeded
 from lattice_sb.search import _BranchSearch
 
@@ -161,7 +161,7 @@ def family_calls(family, n, q):
     """Every closed form over a family, and its builders, at (n, q)."""
     return [lambda: lsb(family, n, 2, q), lambda: anticode_bound(family, n, 3, q, (2, 2)),
             lambda: family_gv_values(family, n, [2], q), lambda: gv_lower(family, n, 2, q),
-            lambda: whitney_closed_form(family, n, 1, q), lambda: fq.family_size(family, n, q),
+            lambda: whitney_row(family, n, q), lambda: fq.family_size(family, n, q),
             lambda: fq.family_window(family, n, q)]
 
 
@@ -466,6 +466,55 @@ def test_family_gv_values_cap_and_input_errors():
         family_gv_values("powerset", 21, [2], window=(1, 1), max_elements=1 << 22)
     with pytest.raises(ValueError, match="need 0 <= m <= M <= n"):
         family_gv_values("projective", 3, [2], 2, (1, 4))
+
+
+def closed_forms(family, n, d, q, window):
+    """Each closed form over a family at one cell; None where the cell has no bound."""
+    out = []
+    for f in (lambda: lsb(family, n, d, q, window), lambda: anticode_bound(family, n, d, q, window),
+              lambda: family_gv_values(family, n, [d], q, window, 400), lambda: gv_lower(family, n, d, q, 400)):
+        try:
+            out.append(f())
+        except HeightExceeded:
+            out.append(None)
+    return out
+
+
+def test_powerset_closed_forms_ignore_q():
+    # 2^[n] records no field: a q given with it is never read as [m]_q
+    assert lsb("powerset", 5, 3, 2) == lsb("powerset", 5, 3) == 8
+    for n in range(7):
+        windows = [None] + [(lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1)]
+        for d, window in itertools.product(range(1, n + 3), windows):
+            want = closed_forms("powerset", n, d, None, window)
+            for q in (2, 3, 4):
+                assert closed_forms("powerset", n, d, q, window) == want, (n, d, q, window)
+
+
+@pytest.mark.parametrize("family, q", [("powerset", None), ("projective", 2), ("projective", 3)])
+def test_closed_forms_build_one_row_per_cell(monkeypatch, family, q):
+    # one Whitney row per lsb cell, at most 3 per anticode bound, and no row
+    # twice in a GV cell
+    from lattice_sb import bounds
+
+    built = []
+    row = bounds.whitney_row
+    monkeypatch.setattr(bounds, "whitney_row", lambda family, n, q=None: built.append(n) or row(family, n, q))
+    for n in range(7):
+        windows = [None] + [(lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1)]
+        for d, window in itertools.product(range(1, n + 3), windows):
+            built.clear()
+            try:
+                lsb(family, n, d, q, window)
+                assert len(built) == 1, (n, d, window)
+            except HeightExceeded:
+                assert built == []
+            built.clear()
+            anticode_bound(family, n, d, q, window)
+            assert len(built) <= 3, (n, d, window)
+            built.clear()
+            family_gv_values(family, n, [d], q, window, 10**5)
+            assert len(built) == len(set(built)), (n, d, window)
 
 
 # --- report layer ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ from lattice_sb import (
     build_projective_lattice,
     gaussian,
     whitney,
-    whitney_closed_form,
+    whitney_row,
 )
 from lattice_sb import counting, fq
 from lattice_sb.counting import PRIME_LIMIT, check_family, check_field, is_prime
@@ -110,22 +110,52 @@ def test_whitney_l2(l2):
     assert whitney(l2) == [1, 3, 2, 1]
 
 
-def test_whitney_closed_form_matches_materialized():
+def test_whitney_row_matches_materialized():
     for n in range(6):
-        lat = build_powerset_lattice(n)
-        got = whitney(lat)
-        for k in range(n + 1):
-            assert whitney_closed_form("powerset", n, k) == got[k]
+        assert list(whitney_row("powerset", n)) == whitney(build_powerset_lattice(n))
     for n, q in ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3)):
-        lat = build_projective_lattice(n, q)
-        got = whitney(lat)
-        for k in range(n + 1):
-            assert whitney_closed_form("projective", n, k, q) == got[k]
+        assert list(whitney_row("projective", n, q)) == whitney(build_projective_lattice(n, q))
 
 
-def test_whitney_closed_form_bad_family():
+def test_whitney_row_bad_family():
     with pytest.raises(ValueError):
-        whitney_closed_form("simplicial", 3, 1)
+        whitney_row("simplicial", 3, 1)
+
+
+def test_whitney_row_matches_comb_and_pascal_rows():
+    # the ratio recurrence against math.comb and the q-Pascal oracle
+    for n in range(13):
+        assert list(whitney_row("powerset", n)) == [math.comb(n, k) for k in range(n + 1)]
+        for q in (2, 3, 5, 7):
+            assert list(whitney_row("projective", n, q)) == [gaussian_pascal(n, k, q) for k in range(n + 1)]
+            assert list(whitney_row("powerset", n, q)) == [math.comb(n, k) for k in range(n + 1)], (n, q)
+
+
+def test_whitney_row_checks_at_the_call():
+    # no next() is needed for a bad family, n or q to be refused
+    for args, text in [(("projective", 3, 4), "q must be a prime, got 4"),
+                       (("projective", 3), "projective family needs q"),
+                       (("powerset", -1), "n must be >= 0, got -1"),
+                       (("bogus", 3, 2), "unknown family: 'bogus'")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            whitney_row(*args)
+
+
+def test_whitney_row_is_lazy(monkeypatch):
+    # a level is worked out when it is pulled, not when the row is made
+    steps = []
+    q_integer = counting.q_integer
+    monkeypatch.setattr(counting, "q_integer", lambda m, q: steps.append(m) or q_integer(m, q))
+    row = whitney_row("projective", 10**6, 2)
+    assert steps == [] and next(row) == 1 and steps == []
+    assert next(row) == 2**10**6 - 1 and steps == [10**6, 1]
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_gaussian_accepts_prime_powers(q):
+    for n in range(7):
+        for k in range(n + 1):
+            assert gaussian(n, k, q) == gaussian_pascal(n, k, q), (n, k, q)
 
 
 # --- family parameters ------------------------------------------------------------

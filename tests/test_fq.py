@@ -318,8 +318,14 @@ def over_cap(n, q, cap):
 def test_projective_cap_count_stops_past_the_cap(monkeypatch):
     # one level at a time, stopping once the count passes the cap
     levels = []
-    count = fq.gaussian
-    monkeypatch.setattr(fq, "gaussian", lambda n, k, q: levels.append(k) or count(n, k, q))
+    row = fq.whitney_row
+
+    def recorded(family, n, q):  # the row, noting each level pulled from it
+        for k, level in enumerate(row(family, n, q)):
+            levels.append(k)
+            yield level
+
+    monkeypatch.setattr(fq, "whitney_row", recorded)
     with pytest.raises(CapExceeded, match=f"^{re.escape(over_cap(5, 2, 128))}$"):
         build_projective_lattice(5, 2)
     assert levels == [0, 1, 2]  # 1 + 31 + 155 > 128
