@@ -9,7 +9,12 @@ search exhaustively for maximum schemes.
 build and classify both families and every other lattice.  The names of
 bounds, schemes and search are root exports too, but each of those modules
 loads on the first access to one of its names (or to the module itself).
+
+Each root export is written once: a core one in its module's import block
+below, a lazy one in `_LAZY_MODULES`.  `__all__` is made from the two.
 """
+
+import types as _types
 
 from .counting import binomial, gaussian, whitney, whitney_row
 from .fq import (
@@ -99,65 +104,6 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOUND_CSV_HEADER",
-    "BoundReport",
-    "CapExceeded",
-    "FamilyWindow",
-    "Lattice",
-    "LatticeError",
-    "NAMED_LATTICES",
-    "NotALatticeError",
-    "Scheme",
-    "SearchProblem",
-    "SearchResult",
-    "Subspace",
-    "TransformWitness",
-    "all_subspaces",
-    "anticode_bound",
-    "binomial",
-    "build_lattice",
-    "build_named_lattice",
-    "build_powerset_lattice",
-    "build_projective_lattice",
-    "classical_singleton",
-    "classify",
-    "enumerate_grassmannian",
-    "family_gv_values",
-    "family_window",
-    "from_json",
-    "gaussian",
-    "greedy_code",
-    "gv_lower",
-    "gv_lower_for_lattice",
-    "gv_lower_values",
-    "kks_bound",
-    "lifting_transform",
-    "log2_string",
-    "lsb",
-    "lsb_for_lattice",
-    "lsb_values",
-    "lsb_windowed",
-    "make_scheme",
-    "max_code",
-    "min_distance",
-    "parse_scheme_text",
-    "puncture",
-    "puncture_budget",
-    "puncture_project",
-    "punctured_distance",
-    "render_report_csv",
-    "rref",
-    "scheme_to_text",
-    "sublattice_closure",
-    "subspace_from_text",
-    "subspace_to_text",
-    "support_transform",
-    "to_dot",
-    "to_json",
-    "verify_transform",
-    "whitney",
-    "whitney_row",
-    "window_ids",
-    "with_names",
-]
+# The public names bound above, less the submodules that the imports bind.
+__all__ = sorted({name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, _types.ModuleType)} | set(_LAZY))

@@ -284,7 +284,7 @@ def test_criterion_09_sandwich():
 
 def test_criterion_10_curve_dual_route():
     with criterion(10, "bound curve identical via product and recurrence routes"):
-        rows = fig5_rows(2, 4, 4, 20)
+        rows = list(fig5_rows(2, 4, 4, 20))
         assert len(rows) == 17
         prev = 0
         for n, bound, _gv in rows:

@@ -403,6 +403,13 @@ def test_sublattice_closure_matches_the_all_pairs_rule(lat, data):
                                                                  max_size=5)))
 
 
+@pytest.mark.parametrize("seed, message", [([], "seed set is empty"),
+                                           ([0, 9], "seed element 9 out of range")])
+def test_sublattice_closure_rejects_a_bad_seed(seed, message):
+    with pytest.raises(LatticeError, match=message):
+        sublattice_closure(build_powerset_lattice(2), seed)
+
+
 def test_sublattice_closure_of_twelve_points_of_2_9():
     # 288 elements: the all-pairs rule makes 75,973 joins for 41,616 pairs, this closure 41,328
     assert_closure_joins_each_pair_once(build_powerset_lattice(9, 512), random.Random(30).sample(range(512), 12))

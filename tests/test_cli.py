@@ -513,6 +513,18 @@ def test_fig5_byte_stable(capsys):
     assert first == second
 
 
+def test_fig5_renders_each_row_before_the_next(capsys, monkeypatch):
+    # a row's exact bound is dropped once its log2 cells are made, so a long
+    # table holds one exact value at a time, not one per row
+    events = []
+    lsb, log2 = bnd.lsb, bnd.log2_string
+    monkeypatch.setattr(bnd, "lsb", lambda family, n, *args: events.append(n) or lsb(family, n, *args))
+    monkeypatch.setattr(bnd, "log2_string", lambda v: events.append("cell") or log2(v))
+    code, out, _ = run(capsys, "fig5", "--n-min", "4", "--n-max", "6")
+    assert code == 0 and len(out.splitlines()) == 4
+    assert events == [4, "cell", "cell", 5, "cell", "cell", 6, "cell", "cell"]
+
+
 def test_fig5_writes_plot_script(capsys, tmp_path):
     out_csv = tmp_path / "fig5.csv"
     code, _, err = run(capsys, "fig5", "--n-min", "4", "--n-max", "6", "-o", str(out_csv))
@@ -601,6 +613,8 @@ def test_fig5_overlay_malformed(capsys, tmp_path):
     overlay.write_text("label,n,log2size\nmine,notanint,1\n")
     code, _, err = run(capsys, "fig5", "--overlay", str(overlay))
     assert code == 2
+    overlay.write_text("label,n,log2size\nmine,6\n")
+    assert run(capsys, "fig5", "--overlay", str(overlay)) == (2, "", "error: bad overlay row: 'mine,6'\n")
 
 
 # --- scheme --------------------------------------------------------------------------
@@ -959,6 +973,7 @@ def test_powerset_size_both_spellings(capsys, command):
         code, out, err = run(capsys, *command, *extra)
         assert code == 2 and out == ""
         assert "--powerset" in err
+    assert run(capsys, *command, "--projective") == (2, "", "error: --projective needs -n\n")
 
 
 # --- export-dot ----------------------------------------------------------------------

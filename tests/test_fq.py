@@ -161,6 +161,8 @@ def test_grassmannian_counts_match_gaussian():
     for n in range(4):
         for k in range(n + 1):
             assert len(list(enumerate_grassmannian(n, k, 3))) == gaussian(n, k, 3)
+    for k in (-1, 4):
+        assert list(enumerate_grassmannian(3, k, 2)) == []
 
 
 def test_grassmannian_rows_are_canonical():
@@ -399,6 +401,12 @@ def test_low_projective_window_enumerates_only_its_dimensions(monkeypatch):
     assert win.names == tuple(fq.subspace_name(subs[i]) for i in kept)
     assert win.heights == (2,) * len(kept) and len(kept) == gaussian(6, 2, 2)
     assert win._masks == tuple(masks[i] for i in kept)
+
+
+def test_at_least_reads_bit_sliced_counts():
+    # positions 0, 1 and 2 are held by 3, 1 and 0 of the bitsets; no count reaches 4 or 8
+    counters = fq._bit_sliced_sum([0b011, 0b001, 0b001])
+    assert [fq._at_least(counters, k) for k in (1, 2, 3, 4, 8)] == [0b011, 0b001, 0b001, 0, 0]
 
 
 @pytest.mark.parametrize("args", [("powerset", 9, None, None, None), ("powerset", -1, None, None, None),

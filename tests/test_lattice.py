@@ -305,6 +305,11 @@ def test_from_json_rejects_malformed():
         from_json(json.dumps({"elements": ["a"], "covers": [[0, "x"]]}))
     with pytest.raises(LatticeError):
         from_json("not json at all")
+    for obj, message in [({"elements": [], "covers": []}, "a lattice needs at least one element"),
+                         ({"elements": [0, 1], "covers": [[0, 1]]}, '"elements" must be a list of names'),
+                         ({"elements": ["a"], "covers": {}}, '"covers" must be a list of')]:
+        with pytest.raises(LatticeError, match=message):
+            from_json(json.dumps(obj))
 
 
 def test_to_dot(n5):

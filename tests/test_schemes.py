@@ -195,6 +195,8 @@ def test_lifting_transform_shape():
     assert a.ambient == 4 and a.dim == 2
     # rows start with the identity block
     assert a.rows[0][:2] == (1, 0) and a.rows[1][:2] == (0, 1)
+    with pytest.raises(ValueError, match="ragged matrix"):
+        lifting_transform([[1, 0], [1]], 2)
 
 
 def test_lifting_transform_distance(sub4):
@@ -238,6 +240,8 @@ def test_parse_rejects_mixed_width(sub3):
 def test_parse_rejects_empty():
     with pytest.raises(LatticeError):
         parse_scheme_text("# nothing here\n")
+    with pytest.raises(LatticeError, match="projective scheme file has no members"):
+        parse_scheme_text("q=2 n=3\n")
 
 
 def test_scheme_text_round_trip(pow3, sub3):

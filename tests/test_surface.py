@@ -43,6 +43,9 @@ def test_all_is_what_init_imports():
     assert sorted(names) == sorted(_init_imports())
     for name in names:
         assert getattr(lattice_sb, name) is not None, name
+    star = {}
+    exec("from lattice_sb import *", star)
+    assert set(star) - {"__builtins__"} == set(names)
 
 
 def _loaded_after(code: str) -> list[str]:
