@@ -5,8 +5,12 @@ projective) are closed forms and never materialize a lattice: the upper
 bound is a Whitney sum, and the GV-type lower bound counts ball volumes per
 centre height.  The explicit-lattice variants realize the upper bound by
 repeated coatom puncturing of the actual lattice and the lower bound by a
-pass over every pair of window elements.  The anticode bound, which the
-search uses to stop at its root, is a closed form on the families only.
+pass over every pair of window elements.  The anticode bound is a closed
+form on the families only.
+
+This module alone decides which bound holds on which lattice: search_cap
+gives the cap the clique search stops at, and search_bounds the two bounds
+its report prints.
 """
 
 from __future__ import annotations
@@ -34,11 +38,12 @@ def puncture_budget(d: int, distributive: bool) -> int:
 def _budget(d: int, distributive: bool, height: int, window: tuple[int, int] | None = None):
     """(alpha, lo, hi): the punctures the bound takes and the heights it counts.
 
-    Without a window, alpha = puncture_budget(d, distributive) and the count
-    covers the whole punctured lattice, heights [0, height - alpha].  A window
-    [m, M] needs puncture-project, which lowers every member by exactly one
-    height and the distance by at most 2, so alpha = floor((d-1)/2) on every
-    lattice and the count covers [max(0, m - alpha), max(0, M - alpha)].
+    The count covers [max(0, m - alpha), max(0, M - alpha)] of the window
+    [m, M], which is [0, height] when none is given: then alpha =
+    puncture_budget(d, distributive) and the count covers the whole
+    punctured lattice.  A given window, (0, height) included, needs
+    puncture-project, which lowers every member by exactly one height and
+    the distance by at most 2, so alpha = floor((d-1)/2) on every lattice.
     Clipping at 0 gives a window with M < alpha the bound 1, its exact
     optimum: on a modular lattice two members of height <= M lie at
     distance <= 2M < d.
@@ -46,16 +51,10 @@ def _budget(d: int, distributive: bool, height: int, window: tuple[int, int] | N
     then HeightExceeded unless M <= height and alpha <= height.
     """
     a = puncture_budget(d, distributive and window is None)
-    check_window(window, height)
+    lo, hi = check_window(window, height)
     if a > height:
         raise HeightExceeded(f"puncture budget {a} exceeds lattice height {height}")
-    if window is None:
-        return a, 0, height - a
-    return a, max(0, window[0] - a), max(0, window[1] - a)
-
-
-class NotModularError(ValueError):
-    """The Singleton-type bound was asked of a lattice that is not modular."""
+    return a, max(0, lo - a), max(0, hi - a)
 
 
 def lsb(family: str, n: int, d: int, q: int | None = None, window: tuple[int, int] | None = None) -> int:
@@ -90,11 +89,11 @@ def lsb_values(lat: Lattice, d_values, window: tuple[int, int] | None = None) ->
     The coatoms of the ideal below w are the lower covers of w, so this walks
     down from the top one height at a time.  The result counts the elements
     of the final ideal at the heights that _budget gives, as lsb does on the
-    families.  The lattice is classified once for all d.  Raises
-    NotModularError when the lattice is not modular.
+    families.  The lattice is classified once for all d.  Raises ValueError
+    when the lattice is not modular.
     """
     if not lat.is_modular():
-        raise NotModularError("the bound requires a modular lattice")
+        raise ValueError("the bound requires a modular lattice")
     # is_distributive costs a pass over the lattice; a window never needs it
     distributive = window is None and lat.is_distributive()
     h = lat.heights
@@ -250,8 +249,7 @@ def family_gv_values(family: str, n: int, d_values, q: int | None = None,
     if family == "powerset" and window is None:
         return [-(-(2**n) // sum(islice(whitney_row(family, n), d))) for d in d_values]
     fq.family_size(family, n, q, max_elements)
-    check_window(window, n)
-    lo, hi = window or (0, n)
+    lo, hi = check_window(window, n)
     levels = range(lo, hi + 1)
     base = q if family == "projective" else 1
     rows = [list(whitney_row(family, m, q)) for m in range(n + 1)]
@@ -268,6 +266,54 @@ def family_gv_values(family: str, n: int, d_values, q: int | None = None,
 def gv_lower(family: str, n: int, d: int, q: int | None = None, max_elements: int | None = None) -> int:
     """GV-type lower bound for a family: family_gv_values for one d, no window."""
     return family_gv_values(family, n, [d], q, None, max_elements)[0]
+
+
+# --- the search's cap and its report's bounds ---------------------------------
+
+
+def search_cap(lat: Lattice, d: int, window: tuple[int, int] | None, size: int, ball: int) -> int | None:
+    """The cap the clique search stops at: an upper bound on the size of a
+    scheme of the window, the smaller of two bounds where either holds, or
+    None where neither does.  size is the window's element count and ball
+    the fewest window elements within distance floor((d-1)/2) of one of them.
+
+    The sphere-packing cap size // ball holds on a modular lattice.  There
+    the height is a valuation, so the height distance is a metric (Birkhoff,
+    Lattice Theory, ch. X), and the balls of radius t = floor((d-1)/2) around
+    the members of a scheme are pairwise disjoint: a scheme of the window W
+    has at most |W| / min_x |B(x, t) & W| members.  A lattice made by a
+    family builder (`Lattice.family`), or a family window, is modular by
+    construction; any other lattice is asked is_modular(): on N5 (d = 3,
+    window (0, 1)) the count gives 1, against the optimum 2.
+
+    anticode_bound gives the other on a family lattice or family window.  It
+    is sound because the graph is vertex-transitive there (S_n acts
+    transitively on 2^[n] and on each of its levels, GL(n, q) on each level
+    of Sub(F_q^n)), and on a vertex-transitive graph a clique has at most
+    |V| / |I| vertices for any coclique I.  A lattice from JSON, a rebuild or
+    a sublattice carries no family: nothing checks its graph for that
+    symmetry, so it gets no anticode bound.
+    """
+    if lat.family is None:
+        return size // ball if lat.is_modular() else None
+    family, n, q = lat.family
+    anticode = anticode_bound(family, n, d, q, window)
+    return size // ball if anticode is None else min(size // ball, anticode)
+
+
+def search_bounds(lat: Lattice, d: int, window: tuple[int, int] | None = None,
+                  max_elements: int | None = None) -> tuple[int, int | None]:
+    """(GV-type lower, Singleton-type upper) bound of a search report.
+
+    On a family lattice or family window, the closed forms family_gv_values
+    and lsb, with no pass over the lattice; otherwise gv_lower_for_lattice
+    and lsb_for_lattice, with upper None where the lattice is not modular.
+    """
+    if lat.family is not None:
+        family, n, q = lat.family
+        return family_gv_values(family, n, [d], q, window, max_elements)[0], lsb(family, n, d, q, window)
+    lower = gv_lower_for_lattice(lat, d, window)
+    return lower, (lsb_for_lattice(lat, d, window) if lat.is_modular() else None)
 
 
 # --- report rows ---------------------------------------------------------------

@@ -175,8 +175,14 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+_FIG5_COLUMNS = ["n", "lsb_log2", "gv_lower_log2"]  # the overlay's labels follow them
+
+
 def _load_overlay(path: str) -> dict[str, dict[int, str]]:
-    """Overlay CSV: header 'label,n,log2size'; values pass through verbatim."""
+    """Overlay CSV: header 'label,n,log2size'; values pass through verbatim.
+
+    A label that names a table column, or a label and n given twice, would
+    corrupt the table: the row is refused."""
     lines = [ln for ln in _read(path).splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "label,n,log2size":
         raise lt.LatticeError("overlay file needs the header: label,n,log2size")
@@ -189,6 +195,8 @@ def _load_overlay(path: str) -> dict[str, dict[int, str]]:
             n = int(parts[1])
         except ValueError:
             raise lt.LatticeError(f"bad overlay n in row: {ln!r}") from None
+        if parts[0] in _FIG5_COLUMNS or n in series.get(parts[0], ()):
+            raise lt.LatticeError(f"overlay row repeats a table column or a label and n: {ln!r}")
         series.setdefault(parts[0], {})[n] = parts[2]
     return series
 
@@ -234,7 +242,7 @@ def cmd_fig5(args) -> int:
     overlay = _load_overlay(args.overlay) if args.overlay else {}
     rows = fig5_rows(args.q, args.d, args.n_min, args.n_max, args.max_elements)
     labels = sorted(overlay)
-    header = ["n", "lsb_log2", "gv_lower_log2"] + labels
+    header = _FIG5_COLUMNS + labels
     lines = [",".join(header)]
     for n, bound, gv in rows:
         cells = [str(n), bnd.log2_string(bound), bnd.log2_string(gv)]
@@ -304,16 +312,7 @@ def cmd_search(args) -> int:
     problem = srch.SearchProblem(lat, args.d, window, args.budget_nodes, args.budget_secs)
     res = srch.max_code(problem)
 
-    if lat.family is not None:  # closed forms, not passes over the lattice
-        family, n, q = lat.family
-        lower = bnd.family_gv_values(family, n, [args.d], q, window, args.max_elements)[0]
-        upper = bnd.lsb(family, n, args.d, q, window)
-    else:
-        lower = bnd.gv_lower_for_lattice(lat, args.d, window)
-        try:
-            upper = bnd.lsb_for_lattice(lat, args.d, window)
-        except bnd.NotModularError:
-            upper = None
+    lower, upper = bnd.search_bounds(lat, args.d, window, args.max_elements)
     if upper is None:
         sandwich = "SKIPPED (non-modular lattice)"
     elif res.best_size > upper:

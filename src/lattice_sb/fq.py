@@ -444,8 +444,7 @@ def family_window(family: str, n: int, q: int | None, window: tuple[int, int] | 
     window raises ValueError: the object holds no other element.
     """
     family_size(family, n, q, max_elements)
-    check_window(window, n)
-    lo, hi = window or (0, n)
+    lo, hi = check_window(window, n)
     if family == "powerset":
         q = None  # 2^[n] records no field
         masks = [s for s in range(1 << n) if lo <= s.bit_count() <= hi]

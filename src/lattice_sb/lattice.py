@@ -101,6 +101,8 @@ class Lattice:
     that its order really is a lattice.
     """
 
+    window = None  # every height, where an fq.FamilyWindow holds one window's
+
     def __init__(self, names, lower_covers, pup, pdown, order, family=None):
         self.names = tuple(names)
         self._lower_covers = tuple(lower_covers)
@@ -483,12 +485,15 @@ def _restrict(lat: Lattice, ids: list[int]) -> Lattice:
     return build_lattice([lat.names[x] for x in ids], covers)
 
 
-def check_window(window: tuple[int, int] | None, height: int):
-    """Raise ValueError unless the window [m, M] has 0 <= m <= M, and
-    HeightExceeded if it has, but M lies above height."""
-    if window is not None and not 0 <= window[0] <= window[1] <= height:
-        error = HeightExceeded if 0 <= window[0] <= window[1] else ValueError
-        raise error("need 0 <= m <= M <= n")
+def check_window(window: tuple[int, int] | None, height: int) -> tuple[int, int]:
+    """The heights (m, M) of the window, (0, height) for None.
+
+    Raises ValueError unless 0 <= m <= M, and HeightExceeded if so but M
+    lies above height."""
+    lo, hi = window or (0, height)
+    if not 0 <= lo <= hi <= height:
+        raise (HeightExceeded if 0 <= lo <= hi else ValueError)("need 0 <= m <= M <= n")
+    return lo, hi
 
 
 def window_ids(lat: Lattice, window: tuple[int, int] | None) -> list[int]:
@@ -501,9 +506,8 @@ def window_ids(lat: Lattice, window: tuple[int, int] | None) -> list[int]:
         ValueError: the window is not within heights 0..total_height(), or
             lat is a family window made for another window.
     """
-    check_window(window, lat.total_height())
-    lo, hi = window or (0, lat.total_height())
-    if getattr(lat, "window", (lo, hi)) != (lo, hi):
+    lo, hi = check_window(window, lat.total_height())
+    if lat.window not in (None, (lo, hi)):
         raise ValueError(f"family window holds heights {lat.window}, not {(lo, hi)}")
     return [x for x in range(len(lat)) if lo <= lat.heights[x] <= hi]
 

@@ -25,39 +25,26 @@ which block every line, while the line level alone gives all 155 lines,
 the optimum.  A higher start only prunes more, so it never adds nodes.
 
 The search reads its lattice only through heights, total_height,
-distance_rows, family and len, asks is_modular() only where family is None,
-and checks its result with make_scheme, which also reads distance and
-distances.  fq.FamilyWindow offers the same for a window of 2^[n] or
-Sub(F_q^n), built from the mask of the atoms below each element; the
-command line searches those families on it instead of building the
-lattice.  A family window holds one window's elements, so window_ids
-refuses to search it with another.  Each builds the distance graph in
-distance_rows its own way: a Lattice takes one distances() pass per
-vertex, a family window adds up bit-sliced counters of common atoms, which
-give a vertex's whole row in a few big-int operations, by one rule for both
-families: an element of height k has [k]_q atoms (k on 2^[n]), so a
-common-atom count gives the height of the meet.
+distance_rows and len, takes its cap from bounds.search_cap, which also
+reads family and may ask is_modular(), and checks its result with
+make_scheme, which also reads distance and distances.  fq.FamilyWindow
+offers the same for a window of 2^[n] or Sub(F_q^n), built from the mask
+of the atoms below each element; the command line searches those families
+on it instead of building the lattice.  A family window holds one window's
+elements, so window_ids refuses to search it with another.  Each builds the
+distance graph in distance_rows its own way: a Lattice takes one
+distances() pass per vertex, a family window adds up bit-sliced counters
+of common atoms, which give a vertex's whole row in a few big-int
+operations, by one rule for both families: an element of height k has
+[k]_q atoms (k on 2^[n]), so a common-atom count gives the height of the
+meet.
 
-The search stops at a cap, an upper bound on the clique size, taken as the
-smaller of two bounds where either holds.  On a lattice made by a family
-builder (`Lattice.family`), or on a family window, bounds.anticode_bound
-gives one.  It is sound because the graph is vertex-transitive there (S_n
-acts transitively on 2^[n] and on each of its levels, GL(n, q) on each
-level of Sub(F_q^n)), and on a vertex-transitive graph a clique has at most
-|V| / |I| vertices for any coclique I.  A lattice from JSON, a rebuild or
-a sublattice carries no family: nothing checks its graph for that
-symmetry, so it gets no anticode bound.
-
-The other is the sphere-packing cap.  On a modular lattice the height is a
-valuation, so the height distance is a metric (Birkhoff, Lattice Theory,
-ch. X), and the balls of radius t = floor((d-1)/2) around the members of a
-scheme are pairwise disjoint: a scheme of the window W has at most
-|W| / min_x |B(x, t) & W| members.  _build_graph counts the balls with
-the edges.  A family lattice is modular by construction, and any other
-lattice is asked is_modular(): on N5 (d = 3, window (0, 1)) the count gives
-1, against the optimum 2.  When the starting scheme reaches the cap it is
-proven optimal at the root, with 0 nodes, and a branch whose clique reaches
-it ends the whole search, proven.
+The search stops at a cap, an upper bound on the clique size where one is
+known to hold, which bounds.search_cap decides: the sphere-packing bound,
+whose balls _build_graph counts with the edges, and on the families the
+anticode bound.  When the starting scheme reaches the cap it is proven
+optimal at the root, with 0 nodes, and a branch whose clique reaches it
+ends the whole search, proven.
 
 Each branch starts from the starting scheme's size and never sees its earlier
 siblings' improvements, and results merge in branch order.  Sharing the
@@ -75,7 +62,7 @@ import random
 import time
 from typing import NamedTuple
 
-from .bounds import _check_distances, anticode_bound
+from .bounds import _check_distances, search_cap
 from .lattice import Lattice, iter_bits, window_ids
 from .schemes import Scheme, make_scheme
 
@@ -236,12 +223,7 @@ def max_code(problem: SearchProblem) -> SearchResult:
         raise ValueError(f"budget_secs (--budget-secs) must be > 0, got {problem.budget_secs}")
     verts, adj, ball = _build_graph(lat, problem.d, ids)
     m = len(verts)
-    cap = m // ball if lat.family is not None or lat.is_modular() else None
-    if lat.family is not None:
-        family, n, q = lat.family
-        anticode = anticode_bound(family, n, problem.d, q, problem.window)
-        if anticode is not None:
-            cap = min(cap, anticode)
+    cap = search_cap(lat, problem.d, problem.window, m, ball)
     start_mask, start_size = _start(lat, verts, adj)
     deadline = time.monotonic() + problem.budget_secs
 

@@ -32,10 +32,10 @@ from lattice_sb import (
     window_ids,
 )
 from lattice_sb import fq
-from lattice_sb.bounds import _budget
+from lattice_sb.bounds import _budget, search_bounds, search_cap
 from lattice_sb.counting import whitney_row
-from lattice_sb.lattice import HeightExceeded
-from lattice_sb.search import _BranchSearch
+from lattice_sb.lattice import HeightExceeded, from_json, to_json
+from lattice_sb.search import _BranchSearch, _build_graph
 
 
 # --- reference: the GV-type bound by a per-centre ball scan ---------------------------
@@ -515,6 +515,95 @@ def test_closed_forms_build_one_row_per_cell(monkeypatch, family, q):
             built.clear()
             family_gv_values(family, n, [d], q, window, 10**5)
             assert len(built) == len(set(built)), (n, d, window)
+
+
+# --- the search's cap and its report's bounds -----------------------------------------
+
+
+def inline_search_cap(lat, d, window, size, ball):
+    """The rule max_code applied inline before bounds.search_cap held it."""
+    cap = size // ball if lat.family is not None or lat.is_modular() else None
+    if lat.family is not None:
+        family, n, q = lat.family
+        anticode = anticode_bound(family, n, d, q, window)
+        if anticode is not None:
+            cap = min(cap, anticode)
+    return cap
+
+
+def assert_search_cap_is_inline_rule(lat, d, window):
+    ids = window_ids(lat, window)
+    _, _, ball = _build_graph(lat, d, ids)
+    want = inline_search_cap(lat, d, window, len(ids), ball)
+    assert search_cap(lat, d, window, len(ids), ball) == want, (d, window)
+    return want
+
+
+def all_windows(n):
+    return [None] + list(itertools.combinations_with_replacement(range(n + 1), 2))
+
+
+@pytest.mark.parametrize("family,n,q,lat", FAMILY_LATTICES, ids=FAMILY_IDS)
+def test_search_cap_is_the_inline_rule_on_families(family, n, q, lat):
+    """Every window and d, on the built lattice and on the family window."""
+    for window in all_windows(n):
+        win = fq.family_window(family, n, q, window)
+        for d in range(1, n + 3):
+            want = assert_search_cap_is_inline_rule(lat, d, window)
+            assert assert_search_cap_is_inline_rule(win, d, window) == want
+
+
+@pytest.mark.parametrize("name", ["N5", "M3", "L2", "json-pow4"])
+def test_search_cap_off_the_families(name):
+    """None on N5, which is not modular; the inline rule on M3 (a renamed
+    Sub(F_2^2)), L2 (a sublattice) and a JSON 2^[4] (no family)."""
+    if name == "json-pow4":
+        lat = from_json(to_json(build_powerset_lattice(4)))
+    else:
+        lat = build_named_lattice(name)
+    n = lat.total_height()
+    for window in all_windows(n):
+        for d in range(1, n + 3):
+            cap = assert_search_cap_is_inline_rule(lat, d, window)
+            assert (cap is None) == (name == "N5"), (d, window)
+
+
+@pytest.mark.parametrize("family,n,q,lat", FAMILY_LATTICES, ids=FAMILY_IDS)
+def test_search_bounds_are_the_closed_forms_on_families(family, n, q, lat):
+    """The closed forms on the built lattice and the family window, and the
+    two passes, with the same values, on a rebuild that carries no family."""
+    rebuilt = build_lattice(lat.names, lat.covers)
+    assert rebuilt.family is None
+    for window in all_windows(n):
+        win = fq.family_window(family, n, q, window)
+        for d in range(1, n + 3):
+            try:
+                want = (family_gv_values(family, n, [d], q, window)[0], lsb(family, n, d, q, window))
+            except HeightExceeded:
+                for target in (lat, win, rebuilt):
+                    with pytest.raises(HeightExceeded):
+                        search_bounds(target, d, window)
+                continue
+            passes = (gv_lower_for_lattice(rebuilt, d, window), lsb_for_lattice(rebuilt, d, window))
+            assert search_bounds(lat, d, window) == search_bounds(win, d, window) == want, (d, window)
+            assert search_bounds(rebuilt, d, window) == passes == want, (d, window)
+
+
+@pytest.mark.parametrize("name", ["N5", "L1", "L2"])
+def test_search_bounds_off_the_families(name):
+    """The two passes on a lattice with no family, and no upper bound on N5."""
+    lat = build_named_lattice(name)
+    n = lat.total_height()
+    for window in all_windows(n):
+        for d in range(1, n + 3):
+            lower = gv_lower_for_lattice(lat, d, window)
+            try:
+                upper = lsb_for_lattice(lat, d, window) if name != "N5" else None
+            except HeightExceeded:
+                with pytest.raises(HeightExceeded):
+                    search_bounds(lat, d, window)
+                continue
+            assert search_bounds(lat, d, window) == (lower, upper), (d, window)
 
 
 # --- report layer ----------------------------------------------------------------------

@@ -218,6 +218,13 @@ def test_bounds_rejects_inverted_window(capsys, tmp_path):
     assert err == "error: need 0 <= m <= M <= n\n"  # the window check of every source
 
 
+def test_bounds_lattice_refuses_a_non_modular_lattice(capsys, tmp_path):
+    path = tmp_path / "n5.json"
+    path.write_text(to_json(cli.fq.build_named_lattice("N5")))
+    code, out, err = run(capsys, "bounds", "--lattice", str(path), "-d", "2")
+    assert (code, out, err) == (2, "", "error: the bound requires a modular lattice\n")
+
+
 @pytest.mark.parametrize("argv", [("--projective", "-n", "4", "-d", "4", "--window", "2", "1"),
                                   ("--powerset", "-n", "4", "-d", "0"),
                                   ("--projective", "-q", "1", "-n", "3", "-d", "2")])
@@ -615,6 +622,13 @@ def test_fig5_overlay_malformed(capsys, tmp_path):
     assert code == 2
     overlay.write_text("label,n,log2size\nmine,6\n")
     assert run(capsys, "fig5", "--overlay", str(overlay)) == (2, "", "error: bad overlay row: 'mine,6'\n")
+    # a label that repeats a table column, and a label and n given twice
+    for rows, bad in [("n,5,3.0\n", "n,5,3.0"), ("mine,5,3.0\nlsb_log2,6,4.0\n", "lsb_log2,6,4.0"),
+                      ("gv_lower_log2,5,1\n", "gv_lower_log2,5,1"),
+                      ("mine,5,3.0\nother,5,1\nmine,5,4.0\n", "mine,5,4.0")]:
+        overlay.write_text("label,n,log2size\n" + rows)
+        want = f"error: overlay row repeats a table column or a label and n: {bad!r}\n"
+        assert run(capsys, "fig5", "--overlay", str(overlay)) == (2, "", want)
 
 
 # --- scheme --------------------------------------------------------------------------

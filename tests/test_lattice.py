@@ -227,8 +227,10 @@ def test_classify_decides_upper_semimodularity_once(monkeypatch, sub3):
 
 
 def test_check_window_tells_a_misfit_from_bad_input():
-    check_window(None, 0)
-    check_window((0, 3), 3)
+    assert check_window(None, 0) == (0, 0)
+    assert check_window(None, 3) == (0, 3)  # None is every height
+    assert check_window((0, 3), 3) == (0, 3)
+    assert check_window((1, 2), 3) == (1, 2)
     with pytest.raises(HeightExceeded, match=r"^need 0 <= m <= M <= n$"):
         check_window((1, 4), 3)
     for window in ((2, 1), (-1, 1), (5, 4)):
